@@ -240,7 +240,7 @@ func (c *Cluster) newServer(task string) (*Server, error) {
 		Hists:    hists,
 		descs:    make(map[string][]byte),
 	}
-	srv.Env = newEnv(task, c.cfg.Kind, policy, m, arena, arenaMR)
+	srv.Env = newEnv(task, c.cfg.Kind, policy, m, dev, arena, arenaMR)
 	srv.Env.Xfer = c.cfg.Transfer
 	srv.Env.Hists = hists
 	if c.cfg.QPSlots > 0 {
@@ -523,7 +523,7 @@ func (c *Cluster) setupRecvEdge(dst *Server, e analyzer.EdgeSpec) error {
 		}
 	}
 	dst.Env.mu.Lock()
-	dst.Env.dynRecv[e.Key] = &dynRecvState{spec: e, recv: recv}
+	dst.Env.dynRecv[e.Key] = &dynRecvState{spec: e, opts: dst.Env.xferOptsFor(e.Key), recv: recv}
 	dst.Env.mu.Unlock()
 	dst.putDesc(e.Key, recv.Desc().Marshal())
 	return nil
@@ -572,7 +572,7 @@ func (c *Cluster) setupSendEdge(src *Server, e analyzer.EdgeSpec) error {
 				}
 			}
 		}
-		st := &staticSendState{spec: e, slot: slot, sender: sender}
+		st := &staticSendState{spec: e, opts: src.Env.xferOptsFor(e.Key), slot: slot, sender: sender}
 		if c.cfg.LossyFabric {
 			ls, err := rdma.NewLossySender(sender, edgeTensorID(e.Key))
 			if err != nil {
@@ -612,7 +612,8 @@ func (c *Cluster) setupSendEdge(src *Server, e analyzer.EdgeSpec) error {
 		sender.SetLaneSource(src.Mux)
 	}
 	src.Env.mu.Lock()
-	src.Env.dynSend[e.Key] = &dynSendState{spec: e, sender: sender, dev: src.Dev}
+	src.Env.dynSend[e.Key] = &dynSendState{spec: e, opts: src.Env.xferOptsFor(e.Key),
+		sender: sender, dev: src.Dev}
 	src.Env.mu.Unlock()
 	req := joinKeyPayload(e.Key, sender.ScratchDesc().Marshal())
 	// Idempotent too: the handler overwrites the scratch descriptor
@@ -642,7 +643,8 @@ func (c *Cluster) setupCoalRecvGroup(dst *Server, p *coalPlan) error {
 	if dst.Mux != nil {
 		recv.SetLaneSource(dst.Mux)
 	}
-	g := &coalRecvGroup{key: p.key, recv: recv, pending: make(map[uint32][]byte)}
+	g := &coalRecvGroup{key: p.key, ackOpts: dst.Env.xferOpts(), recv: recv,
+		pending: make(map[uint32][]byte)}
 	dst.Env.mu.Lock()
 	dst.Env.coalRecvGroups[p.key] = g
 	for id, e := range p.members {
@@ -681,7 +683,8 @@ func (c *Cluster) setupCoalSendGroup(src *Server, p *coalPlan) error {
 	if src.Mux != nil {
 		sender.SetLaneSource(src.Mux)
 	}
-	g := &coalSendGroup{key: p.key, sender: sender, members: len(p.members)}
+	g := &coalSendGroup{key: p.key, opts: src.Env.xferOptsFor(p.key), sender: sender,
+		members: len(p.members)}
 	src.Env.mu.Lock()
 	src.Env.coalSendGroups[p.key] = g
 	for id, e := range p.members {

@@ -26,7 +26,9 @@ var (
 )
 
 // Env is one server's communication environment; send/recv kernels reach it
-// through graph.Context.Env.
+// through graph.Context.Env. It implements exec.LandedSignal over the
+// server's RDMA device, so the executor's pure-polling workers park until a
+// peer's write lands instead of sleeping out their backoff.
 type Env struct {
 	Task    string
 	Kind    Kind
@@ -41,6 +43,7 @@ type Env struct {
 	// The zero value selects the rdma package defaults.
 	Xfer rdma.TransferOpts
 
+	dev     *rdma.Device
 	arena   *alloc.Arena
 	arenaMR *rdma.MemRegion
 
@@ -62,10 +65,10 @@ type Env struct {
 }
 
 func newEnv(task string, kind Kind, pol *analyzer.TracingPolicy, m *metrics.Comm,
-	arena *alloc.Arena, arenaMR *rdma.MemRegion) *Env {
+	dev *rdma.Device, arena *alloc.Arena, arenaMR *rdma.MemRegion) *Env {
 	return &Env{
 		Task: task, Kind: kind, Policy: pol, Metrics: m,
-		arena: arena, arenaMR: arenaMR,
+		dev: dev, arena: arena, arenaMR: arenaMR,
 		staticSend: make(map[string]*staticSendState),
 		staticRecv: make(map[string]*staticRecvState),
 		dynSend:    make(map[string]*dynSendState),
@@ -88,6 +91,7 @@ func newEnv(task string, kind Kind, pol *analyzer.TracingPolicy, m *metrics.Comm
 // buffer while the write is in flight.
 type coalSendGroup struct {
 	key     string
+	opts    rdma.TransferOpts // built once at setup (xferOptsFor)
 	sender  *rdma.CoalescedSender
 	members int // sub-messages per full batch
 
@@ -119,8 +123,9 @@ func (g *coalSendGroup) failPending(err error) {
 // slot under the lock, the slot is consumed immediately, and the reuse ack
 // is posted once per batch.
 type coalRecvGroup struct {
-	key  string
-	recv *rdma.CoalescedReceiver
+	key     string
+	ackOpts rdma.TransferOpts // built once at setup (xferOpts)
+	recv    *rdma.CoalescedReceiver
 
 	mu        sync.Mutex
 	senderAck rdma.DynSlotDesc // pushed by the sender during setup
@@ -173,6 +178,7 @@ func newStagingSlot(dev *rdma.Device, dt tensor.DType, shape tensor.Shape) (*sta
 
 type staticSendState struct {
 	spec   analyzer.EdgeSpec
+	opts   rdma.TransferOpts // built once at setup (xferOptsFor)
 	slot   *stagingSlot
 	sender *rdma.StaticSender
 	// lossy, when non-nil, wraps sender with the selective-retransmit
@@ -189,6 +195,7 @@ type staticRecvState struct {
 
 type dynSendState struct {
 	spec    analyzer.EdgeSpec
+	opts    rdma.TransferOpts // built once at setup (xferOptsFor)
 	sender  *rdma.DynSender
 	dev     *rdma.Device
 	scratch *rdma.MemRegion // copy fallback payload area, grown on demand
@@ -196,6 +203,7 @@ type dynSendState struct {
 
 type dynRecvState struct {
 	spec          analyzer.EdgeSpec
+	opts          rdma.TransferOpts // built once at setup (xferOptsFor)
 	recv          *rdma.DynReceiver
 	senderScratch rdma.DynSlotDesc
 
@@ -261,7 +269,9 @@ func (mb *mailbox) takeStash() (mailboxItem, bool) {
 }
 
 // xferOpts returns the server's transfer bounds with the retry, per-lane
-// stripe, and doorbell-flush counters wired into the metrics sink.
+// stripe, and doorbell-flush counters wired into the metrics sink. Edge
+// setup calls it (and xferOptsFor) once per edge and keeps the result, so
+// the per-op path copies a struct instead of allocating closures.
 func (e *Env) xferOpts() rdma.TransferOpts {
 	o := e.Xfer
 	o.OnRetry = func(error) { e.Metrics.AddRetry() }
@@ -295,6 +305,12 @@ func (e *Env) recordRecv(key string, n int) {
 	e.Metrics.AddRecv(n)
 	e.Hists.Family(metrics.HistEdgeRecvBytes).With(key).Record(int64(n))
 }
+
+// LandedSeq, WaitLanded and WakeLanded implement exec.LandedSignal over
+// the server's device (see rdma.Device.WaitLanded).
+func (e *Env) LandedSeq() uint64                        { return e.dev.LandedSeq() }
+func (e *Env) WaitLanded(seq uint64, max time.Duration) { e.dev.WaitLanded(seq, max) }
+func (e *Env) WakeLanded()                              { e.dev.WakeLanded() }
 
 // FailPending fails asynchronous completions parked in this environment
 // waiting for work a dead iteration will never produce — coalesce-group

@@ -87,7 +87,7 @@ func (op *rdmaSendOp) ComputeAsync(ctx *graph.Context, done func(error)) {
 	// iteration's cancel flag rides along so the retry dies with the run —
 	// a re-send landing after an abort would clobber the receiver's slot
 	// mid-recovery.
-	opts := env.xferOptsFor(op.spec.Key)
+	opts := st.opts
 	opts.Canceled = ctx.Canceled
 	go func() {
 		var err error
@@ -242,7 +242,7 @@ func (op *rdmaSendDynOp) ComputeAsync(ctx *graph.Context, done func(error)) {
 	// Blocking retried send on its own goroutine (see rdmaSendOp). ErrBusy
 	// from a not-yet-acked previous transfer is also retried: the ack may
 	// just be in flight behind an injected delay.
-	opts := env.xferOptsFor(op.spec.Key)
+	opts := st.opts
 	opts.Canceled = ctx.Canceled
 	go func() {
 		done(env.edgeErr(op.spec.Key,
@@ -333,7 +333,7 @@ func (op *rdmaRecvDynOp) ComputeAsync(ctx *graph.Context, done func(error)) {
 	st.mu.Unlock()
 	// FetchRetry blocks until the payload read AND the reuse ack completed
 	// (retrying both within the budget); run it off the scheduler worker.
-	opts := env.xferOptsFor(op.spec.Key)
+	opts := st.opts
 	opts.Canceled = ctx.Canceled
 	go func() {
 		err := st.recv.FetchRetry(meta, scratch, env.arenaMR, buf.Off, opts)

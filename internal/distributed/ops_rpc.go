@@ -158,6 +158,9 @@ func registerPushService(env *Env, register func(method string, h rpc.Handler)) 
 		}
 		mb := env.mailbox(msg.Name)
 		mb.ch <- mailboxItem{seq: int(msg.Seq), t: t}
+		// A mailbox arrival is this plane's landed write: wake the
+		// executor's parked pollers so the recv sees it now.
+		env.WakeLanded()
 		return nil, nil
 	})
 }

@@ -40,7 +40,9 @@ type Config struct {
 	Vars *VarStore
 	// Policy routes tensor allocations (default HeapPolicy).
 	Policy AllocPolicy
-	// Env is passed through to kernels via Context.Env.
+	// Env is passed through to kernels via Context.Env. An Env that also
+	// implements LandedSignal lets pure-polling workers park until a peer's
+	// write lands instead of sleeping out their backoff.
 	Env any
 	// PollTimeout aborts an iteration when no node completes for this long
 	// while polling operators spin — the failure-detection backstop for a
@@ -70,6 +72,19 @@ type Config struct {
 	Frozen bool
 }
 
+// LandedSignal is implemented by an Env whose polled words are written by a
+// fabric that announces landed writes (the RDMA device's landed-write
+// sequence). A worker reads LandedSeq before it polls its batch; when the
+// whole batch misses, it parks in WaitLanded against that reading with its
+// backoff as the bound, so the park ends as soon as anything lands — a write
+// that lands between the poll and the park ends it at once. WakeLanded
+// releases every parked waiter; Abort calls it.
+type LandedSignal interface {
+	LandedSeq() uint64
+	WaitLanded(seq uint64, max time.Duration)
+	WakeLanded()
+}
+
 // Executor runs one graph partition iteration by iteration.
 type Executor struct {
 	g       *graph.Graph
@@ -79,7 +94,8 @@ type Executor struct {
 	consume [][]*graph.Node
 	indeg   []int
 	stats   *statsTable
-	recycle *recycler // nil unless the policy opted in
+	recycle *recycler    // nil unless the policy opted in
+	landed  LandedSignal // nil unless cfg.Env implements it
 
 	pollWaitHist  *metrics.Histogram // nil unless cfg.Hists is set
 	pollBatchHist *metrics.Histogram // nil unless cfg.Hists is set
@@ -119,6 +135,7 @@ func New(g *graph.Graph, cfg Config) (*Executor, error) {
 		indeg:   make([]int, len(all)),
 		stats:   newStatsTable(cfg.Hists),
 	}
+	e.landed, _ = cfg.Env.(LandedSignal)
 	if cfg.Hists != nil {
 		e.pollWaitHist = cfg.Hists.Hist(metrics.HistPollWaitNs)
 		e.pollBatchHist = cfg.Hists.Hist(metrics.HistPolledBatch)
@@ -199,6 +216,9 @@ func (e *Executor) Abort(cause error) {
 	} else {
 		st.fail(fmt.Errorf("%w: %w", ErrAborted, cause))
 	}
+	if e.landed != nil {
+		e.landed.WakeLanded() // parked workers see the failure now
+	}
 }
 
 // run-state shared by the workers of one iteration.
@@ -212,9 +232,10 @@ type runState struct {
 	queue      []*graph.Node
 	remaining  []int
 	values     []*tensor.Tensor
-	pending    int // nodes not yet completed
-	inflight   int // nodes currently being executed (incl. async)
-	nonPolling int // queued nodes that are not polling operators
+	pollCtxs   []*graph.Context // by node id; see pollContext
+	pending    int              // nodes not yet completed
+	inflight   int              // nodes currently being executed (incl. async)
+	nonPolling int              // queued nodes that are not polling operators
 	progress   time.Time
 	err        error
 
@@ -254,11 +275,13 @@ func isPollingNode(n *graph.Node) bool {
 
 // Pure-polling backoff: when the ready queue holds only not-ready polling
 // operators, a worker first spins through a short miss budget (data usually
-// arrives within microseconds), then sleeps with the duration doubling up to
-// a cap. The polled flags are written remotely by one-sided RDMA, so the
-// sleep delays only this worker's next poll — it cannot delay the data —
-// and the FIFO requeue keeps multiple starved pollers taking turns at the
-// queue head instead of one monopolizing the misses.
+// arrives within microseconds), then waits with the bound doubling up to a
+// cap. With a LandedSignal Env the wait is a park that ends when a peer's
+// write lands (the bound only caps it); without one it is a plain sleep. The
+// polled flags are written remotely by one-sided RDMA, so the wait delays
+// only this worker's next poll — it cannot delay the data — and the FIFO
+// requeue keeps multiple starved pollers taking turns at the queue head
+// instead of one monopolizing the misses.
 //
 // pollBatchMax caps the batched completion scan: when a worker pops a
 // polling operator it drains every other queued polling operator (up to the
@@ -294,6 +317,19 @@ func (st *runState) fail(err error) {
 		st.err = err
 	}
 	st.cond.Broadcast()
+}
+
+// park waits out one pure-polling backoff of at most d and returns how long
+// the worker actually waited. With a LandedSignal Env it parks against seq,
+// the landed sequence read before the batch was polled.
+func (e *Executor) park(seq uint64, d time.Duration) time.Duration {
+	start := time.Now()
+	if e.landed != nil {
+		e.landed.WaitLanded(seq, d)
+	} else {
+		time.Sleep(d)
+	}
+	return time.Since(start)
 }
 
 // canceled reports whether the run has failed; communication kernels poll
@@ -363,17 +399,18 @@ func (st *runState) next() (*graph.Node, bool) {
 }
 
 // grabPollBatch extracts up to max additional polling operators from the
-// ready queue in one lock acquisition, marking each in flight. Non-polling
-// nodes keep their relative order (and nonPolling count); only polling
-// operators are pulled, so the batch poll below scans the whole starved set
-// in one pass instead of cycling them through the queue one at a time.
-func (st *runState) grabPollBatch(max int) []*graph.Node {
+// ready queue in one lock acquisition, marking each in flight, and appends
+// them to batch. Non-polling nodes keep their relative order (and
+// nonPolling count); only polling operators are pulled, so the batch poll
+// below scans the whole starved set in one pass instead of cycling them
+// through the queue one at a time.
+func (st *runState) grabPollBatch(batch []*graph.Node, max int) []*graph.Node {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if max <= 0 || len(st.queue) == 0 {
-		return nil
+		return batch
 	}
-	var batch []*graph.Node
+	max += len(batch)
 	kept := st.queue[:0]
 	for _, n := range st.queue {
 		if len(batch) < max && isPollingNode(n) {
@@ -424,6 +461,7 @@ func (e *Executor) Run(iter int, feeds map[string]*tensor.Tensor, fetches ...str
 		feeds:     feeds,
 		remaining: append([]int(nil), e.indeg...),
 		values:    make([]*tensor.Tensor, len(e.inPart)),
+		pollCtxs:  make([]*graph.Context, len(e.inPart)),
 		pending:   len(e.nodes),
 		progress:  time.Now(),
 	}
@@ -539,14 +577,20 @@ func (e *Executor) worker(st *runState, startAt time.Time) {
 		return d
 	}
 	pollMisses := 0
+	// Poll-pass scratch, reused across passes: a starved receive is polled
+	// many times per step, and each pass must not allocate.
+	var (
+		batch   []*graph.Node
+		ctxs    []*graph.Context
+		ready   []int
+		waiting []*graph.Node
+	)
 	for {
 		n, ok := st.next()
 		acct.Idle += tick() // scheduler wait + queue bookkeeping
 		if !ok {
 			return
 		}
-		ctx := e.newContext(st, n)
-		acct.Idle += tick() // context assembly
 
 		// Polling-async phase 1, batched: when the head is a polling
 		// operator, drain every other queued polling operator (one lock)
@@ -555,18 +599,19 @@ func (e *Executor) worker(st *runState, startAt time.Time) {
 		// cost one queue round-trip and one backoff decision per pass
 		// instead of N.
 		if _, isPolling := n.Op().(graph.PollingKernel); isPolling {
-			batch := append([]*graph.Node{n}, st.grabPollBatch(pollBatchMax-1)...)
+			// Read the landed sequence before polling: a write landing
+			// after this point ends the park below at once.
+			var landed uint64
+			if e.landed != nil {
+				landed = e.landed.LandedSeq()
+			}
+			batch = st.grabPollBatch(append(batch[:0], n), pollBatchMax-1)
 			e.pollBatchHist.Record(int64(len(batch)))
-			ctxs := make([]*graph.Context, len(batch))
-			ctxs[0] = ctx
-			var ready []int
-			var waiting []*graph.Node
+			ctxs, ready, waiting = ctxs[:0], ready[:0], waiting[:0]
 			var pollErr error
 			var errNode *graph.Node
 			for i, pn := range batch {
-				if ctxs[i] == nil {
-					ctxs[i] = e.newContext(st, pn)
-				}
+				ctxs = append(ctxs, e.pollContext(st, pn))
 				hit, err := pn.Op().(graph.PollingKernel).Poll(ctxs[i])
 				if err != nil {
 					errNode, pollErr = pn, err
@@ -627,11 +672,10 @@ func (e *Executor) worker(st *runState, startAt time.Time) {
 					pollMisses++
 					if d := pollBackoff(pollMisses); d > 0 {
 						e.stats.recordPollBackoff(n.Op().Name())
-						time.Sleep(d)
-						e.pollWaitHist.Record(d.Nanoseconds())
+						e.pollWaitHist.Record(e.park(landed, d).Nanoseconds())
 					}
 				}
-				acct.PollWait += tick() // requeue + backoff sleep
+				acct.PollWait += tick() // requeue + backoff park
 				continue
 			}
 			if len(waiting) > 0 {
@@ -644,6 +688,8 @@ func (e *Executor) worker(st *runState, startAt time.Time) {
 			}
 			continue
 		}
+		ctx := e.newContext(st, n)
+		acct.Idle += tick() // context assembly
 		pollMisses = 0
 		e.execNode(st, n, ctx, &acct, tick)
 	}
@@ -702,6 +748,19 @@ func (e *Executor) execNode(st *runState, n *graph.Node, ctx *graph.Context, acc
 	default:
 		st.complete(n, nil, fmt.Errorf("exec: op %s has no kernel: %w", n.Op().Name(), ErrExec))
 	}
+}
+
+// pollContext returns a polling node's context for this iteration: built on
+// its first poll, then reused by every later poll and by its execution. No
+// lock guards the slot: a polling node is held by one worker at a time, and
+// every handoff between workers goes through st.mu (requeue, grab, next).
+func (e *Executor) pollContext(st *runState, n *graph.Node) *graph.Context {
+	ctx := st.pollCtxs[n.ID()]
+	if ctx == nil {
+		ctx = e.newContext(st, n)
+		st.pollCtxs[n.ID()] = ctx
+	}
+	return ctx
 }
 
 func (e *Executor) newContext(st *runState, n *graph.Node) *graph.Context {

@@ -120,5 +120,6 @@ func (d *Device) executeAtomic(peer string, req atomicRequest) error {
 	case atomicCompareSwap:
 		*req.result = atomicCAS64(mr.data, req.off, req.compare, req.operand)
 	}
+	remoteDev.landed.bump()
 	return nil
 }

@@ -33,9 +33,24 @@ func goroutineSettle(t *testing.T, base, slack int) {
 	}
 }
 
+// parkUntilReleased parks one goroutine on d's landed-write signal with a
+// bound far beyond any test, returning a channel closed when the park ends.
+// Nothing lands on d while it waits, so only a wake can release it.
+func parkUntilReleased(d *Device) <-chan struct{} {
+	released := make(chan struct{})
+	seq := d.LandedSeq()
+	go func() {
+		d.WaitLanded(seq, time.Hour)
+		close(released)
+	}()
+	return released
+}
+
 // TestCloseMidTransferFailsFast queues a backlog of slow Memcpys and closes
 // the device mid-stream: every pending callback must fire promptly with
-// ErrClosed instead of draining the queue at one injected delay apiece.
+// ErrClosed instead of draining the queue at one injected delay apiece. A
+// goroutine parked on the device's landed-write signal when Close begins
+// must be released too — the goroutine-leak check at the end counts it.
 func TestCloseMidTransferFailsFast(t *testing.T) {
 	base := runtime.NumGoroutine()
 	const (
@@ -81,8 +96,14 @@ func TestCloseMidTransferFailsFast(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	parked := parkUntilReleased(a)
 	start := time.Now()
 	a.Close() // at most one WR is mid-delay; the rest must fail fast
+	select {
+	case <-parked:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close left a waiter parked on the landed signal")
+	}
 	done := make(chan struct{})
 	go func() { wg.Wait(); close(done) }()
 	select {
@@ -198,7 +219,13 @@ func TestClosePeerSeversThenRebuilds(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	parked := parkUntilReleased(a)
 	a.ClosePeer("hostB:1")
+	select {
+	case <-parked:
+	case <-time.After(5 * time.Second):
+		t.Fatal("ClosePeer left a waiter parked on the landed signal")
+	}
 	wg.Wait()
 	if closedErrs.Load() == 0 {
 		t.Error("no buffered WR failed with ErrClosed after ClosePeer")

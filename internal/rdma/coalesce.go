@@ -115,7 +115,7 @@ func (r *CoalescedReceiver) Consume() { r.mr.ClearFlag(r.flagOff()) }
 // next Flush. Call after Consume (and after copying any payloads out); the
 // ack is a constant one-word write, so retrying it is idempotent.
 func (r *CoalescedReceiver) AckRetry(senderAck DynSlotDesc, opts TransferOpts) error {
-	return retryLoop(opts, fmt.Sprintf("coalesced ack to %s", r.ch.Remote()), func() error {
+	return retryLoop(opts, opLabel{"coalesced ack", -1, r.ch.Remote()}, func() error {
 		ch, release, err := laneFor(r.source, r.ch.Remote(), r.ch)
 		if err != nil {
 			return err
@@ -226,7 +226,7 @@ func (s *CoalescedSender) flushOn(ch *Channel, cb func(error)) error {
 func (s *CoalescedSender) FlushRetry(opts TransferOpts) error {
 	start := time.Now()
 	staged := s.w.Len()
-	err := retryLoop(opts, fmt.Sprintf("coalesced flush %dB to %s", staged, s.ch.Remote()),
+	err := retryLoop(opts, opLabel{"coalesced flush", staged, s.ch.Remote()},
 		func() error {
 			ch, release, lerr := laneFor(s.source, s.ch.Remote(), s.ch)
 			if lerr != nil {

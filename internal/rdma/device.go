@@ -73,6 +73,7 @@ type Device struct {
 	cfg      Config
 
 	closed atomic.Bool
+	landed landedSignal
 
 	mu      sync.Mutex
 	regions map[uint32]*MemRegion
@@ -312,6 +313,10 @@ func (d *Device) ClosePeer(remote string) {
 	for _, qp := range pc.qps {
 		qp.close()
 	}
+	// Pollers parked on words the severed peer would have written re-check
+	// now (and see their own deadline or cancel) instead of waiting out a
+	// park's bound.
+	d.landed.bump()
 }
 
 // SetMessageHandler installs the two-sided receive handler. Messages are
@@ -354,7 +359,8 @@ func (d *Device) deliver(from string, payload []byte) error {
 
 // Close shuts the device down in dependency order: the endpoint leaves the
 // fabric, QPs stop accepting work and drain, the message dispatcher stops,
-// and finally the CQ pollers drain outstanding completions.
+// goroutines parked on the landed-write signal are released to re-check
+// their words, and finally the CQ pollers drain outstanding completions.
 func (d *Device) Close() {
 	if !d.closed.CompareAndSwap(false, true) {
 		return
@@ -373,6 +379,7 @@ func (d *Device) Close() {
 		cq.close()
 	}
 	d.rpc.failAll(ErrClosed)
+	d.landed.bump()
 	d.pollerWG.Wait()
 }
 
@@ -572,6 +579,9 @@ func (d *Device) executeTransfer(peer string, wr workRequest) error {
 	case OpRead:
 		orderedCopy(local, wr.localOff, remote, wr.remoteOff)
 	}
+	if wr.op == OpWrite {
+		remoteDev.landed.bump()
+	}
 	if hooks.OnTransfer != nil {
 		hooks.OnTransfer(wr.op, wr.size)
 	}
@@ -588,7 +598,9 @@ func (d *Device) executeTransfer(peer string, wr workRequest) error {
 func (d *Device) executeTagged(remoteMR *MemRegion, wr workRequest, hooks Hooks) error {
 	t := wr.tag
 	if t.kind == tagArm {
-		return remoteMR.armEpoch(t.guardOff, t.tag.Epoch)
+		err := remoteMR.armEpoch(t.guardOff, t.tag.Epoch)
+		remoteMR.dev.landed.bump()
+		return err
 	}
 	if hooks.Lossy && hooks.ChunkDrop != nil && hooks.ChunkDrop(t.tag, wr.size) {
 		return nil // lost on the wire: memory untouched, completion succeeds
@@ -600,6 +612,9 @@ func (d *Device) executeTagged(remoteMR *MemRegion, wr workRequest, hooks Hooks)
 	placed, err := remoteMR.placeChunk(t, wr.remoteOff, local)
 	if err != nil {
 		return err
+	}
+	if placed {
+		remoteMR.dev.landed.bump()
 	}
 	if !placed && hooks.OnChunkStale != nil {
 		hooks.OnChunkStale(t.tag)

@@ -369,7 +369,7 @@ func (s *LossySender) lossySendRetry(payload []byte, opts TransferOpts) error {
 	o := opts.withDefaults()
 	start := time.Now()
 	s.sends.Add(1)
-	err := retryLoop(o, fmt.Sprintf("lossy send %dB to %s", s.desc.PayloadSize, s.ch.Remote()),
+	err := retryLoop(o, opLabel{"lossy send", s.desc.PayloadSize, s.ch.Remote()},
 		func() error { return s.attempt(payload, o) })
 	return observeComplete(o, s.desc.PayloadSize, start, err)
 }
@@ -486,11 +486,15 @@ func (s *LossySender) blast(lanes []*Channel, chunks []StripeChunk, mask, e uint
 // and bounded: ErrTimeout, fatal in retryLoop.
 func (s *LossySender) awaitAck(lanes []*Channel, chunks []StripeChunk, e uint64, o TransferOpts) error {
 	deadline := time.Now().Add(o.Deadline)
+	dev := s.scratch.dev
 	var lastSeq uint64
 	for spins := 0; ; spins++ {
 		if o.Canceled != nil && o.Canceled() {
 			return fmt.Errorf("rdma: lossy send epoch %d to %s: %w", e, s.ch.Remote(), ErrCanceled)
 		}
+		// Read the landed sequence before the scratch words: a NACK or ack
+		// landing after this check then ends the park below at once.
+		landed := dev.LandedSeq()
 		if s.scratch.LoadWord(nackEpochOff) == e {
 			if seq := s.scratch.LoadWord(nackSeqOff); seq != lastSeq {
 				lastSeq = seq
@@ -511,8 +515,8 @@ func (s *LossySender) awaitAck(lanes []*Channel, chunks []StripeChunk, e uint64,
 			return fmt.Errorf("rdma: lossy send epoch %d to %s: no completion ack: %w",
 				e, s.ch.Remote(), ErrTimeout)
 		}
-		if spins > 256 {
-			sleep(o.PollInterval)
+		if spins > waitSpins {
+			dev.WaitLanded(landed, maxPark)
 		} else {
 			runtime.Gosched()
 		}
@@ -521,10 +525,10 @@ func (s *LossySender) awaitAck(lanes []*Channel, chunks []StripeChunk, e uint64,
 
 // --- receiver ---
 
-// defaultNackInterval paces receiver NACKs: long enough for in-flight
-// chunks to land (spurious NACKs cost duplicate retransmits, which are
-// harmless but noisy), short enough to keep loss recovery well under a
-// training step.
+// defaultNackInterval paces receiver NACKs — one goes out once no chunk of
+// the epoch has landed for this long: long enough for in-flight chunks to
+// land (spurious NACKs cost duplicate retransmits, which are harmless but
+// noisy), short enough to keep loss recovery well under a training step.
 const defaultNackInterval = 500 * time.Microsecond
 
 // LossyReceiverConfig tunes a LossyReceiver.
@@ -564,6 +568,7 @@ type LossyReceiver struct {
 	complete      bool
 	consumed      uint64 // last epoch consumed by the application
 	lastPost      time.Time
+	missing       uint64 // missing-chunk mask at the last poll
 	seq           uint64
 
 	// inflight serializes NACK/ack posting: at most one control batch in
@@ -654,6 +659,7 @@ func (r *LossyReceiver) Poll() bool {
 		r.curEpoch = e
 		r.chunks = int(d.Chunks)
 		r.complete = false
+		r.missing = fullMask(r.chunks)
 		r.lastPost = time.Now() // grace before the first NACK
 	}
 	if r.complete {
@@ -677,6 +683,15 @@ func (r *LossyReceiver) Poll() bool {
 		r.lastPost = time.Time{} // ack immediately
 		r.pumpAckLocked()
 		return true
+	}
+	if missing != r.missing {
+		// A chunk landed since the last poll: the epoch is still arriving,
+		// so restart the grace. NACKs pace from the last arrival, not from
+		// the announce — a transfer whose chunks trickle in (a cold or
+		// descheduled sender) is slow, not lossy, and NACKing it would
+		// only buy duplicate retransmits.
+		r.missing = missing
+		r.lastPost = time.Now()
 	}
 	if r.renack.Swap(false) || time.Since(r.lastPost) >= r.interval {
 		r.lastPost = time.Now()
@@ -796,5 +811,5 @@ func (r *LossyReceiver) Consume() {
 // Wait blocks until a complete tensor arrived (Poll true) or the opts
 // deadline expires, like StaticReceiver.Wait.
 func (r *LossyReceiver) Wait(opts TransferOpts) error {
-	return waitCond(opts, "lossy recv", r.Poll)
+	return waitCond(r.mr.dev, opts, "lossy recv", r.Poll)
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strconv"
 	"sync"
 	"time"
 )
@@ -44,11 +45,19 @@ func Retryable(err error) bool {
 
 // Defaults for TransferOpts zero values.
 const (
-	DefaultDeadline     = 10 * time.Second
-	DefaultMaxRetries   = 64
-	DefaultBackoff      = 50 * time.Microsecond
-	DefaultMaxBackoff   = 10 * time.Millisecond
-	DefaultPollInterval = 5 * time.Microsecond
+	DefaultDeadline   = 10 * time.Second
+	DefaultMaxRetries = 64
+	DefaultBackoff    = 50 * time.Microsecond
+	DefaultMaxBackoff = 10 * time.Millisecond
+)
+
+// Flag waits (waitCond, the lossy ack loop) spin briefly, then park on the
+// device's landed-write signal. The park normally ends when the awaited word
+// lands; maxPark only bounds it, so deadline and cancel checks (and the lossy
+// receiver's NACK pacing) still run when nothing lands.
+const (
+	waitSpins = 256
+	maxPark   = 5 * time.Microsecond
 )
 
 // TransferOpts bounds a blocking transfer operation: a total deadline, a
@@ -64,8 +73,6 @@ type TransferOpts struct {
 	Backoff time.Duration
 	// MaxBackoff caps the exponential growth.
 	MaxBackoff time.Duration
-	// PollInterval is the sleep between flag polls once spinning stops.
-	PollInterval time.Duration
 	// OnRetry, if non-nil, is invoked with the transient error before each
 	// retry (for counters).
 	OnRetry func(err error)
@@ -125,9 +132,6 @@ func (o TransferOpts) withDefaults() TransferOpts {
 	if o.MaxBackoff <= 0 {
 		o.MaxBackoff = DefaultMaxBackoff
 	}
-	if o.PollInterval <= 0 {
-		o.PollInterval = DefaultPollInterval
-	}
 	if o.Stripes <= 0 {
 		o.Stripes = 1
 	}
@@ -137,11 +141,27 @@ func (o TransferOpts) withDefaults() TransferOpts {
 	return o
 }
 
+// opLabel names a blocking operation in retryLoop's errors. It is kept as
+// parts and formatted only on the failure path, so a transfer that succeeds
+// builds no label string.
+type opLabel struct {
+	op     string
+	bytes  int // payload size; negative omits it
+	remote string
+}
+
+func (l opLabel) String() string {
+	if l.bytes < 0 {
+		return l.op + " to " + l.remote
+	}
+	return l.op + " " + strconv.Itoa(l.bytes) + "B to " + l.remote
+}
+
 // retryLoop runs attempt until it succeeds, fails fatally, is canceled, or
 // the deadline or retry budget is exhausted (typed ErrTimeout wrapping the
 // last error). Cancellation is checked before every attempt — including the
 // first — so an already-aborted caller never posts a write at all.
-func retryLoop(opts TransferOpts, what string, attempt func() error) error {
+func retryLoop(opts TransferOpts, what opLabel, attempt func() error) error {
 	o := opts.withDefaults()
 	deadline := time.Now().Add(o.Deadline)
 	backoff := o.Backoff
@@ -198,25 +218,30 @@ func retryLoop(opts TransferOpts, what string, attempt func() error) error {
 }
 
 // waitCond polls cond until it reports true, the caller cancels, or the
-// deadline expires. It spins briefly, then backs off to PollInterval sleeps
-// so a long wait does not burn a core.
-func waitCond(opts TransferOpts, what string, cond func() bool) error {
+// deadline expires. It spins briefly, then parks on dev's landed-write
+// signal between checks, so a long wait burns no core and still wakes as
+// soon as the peer's write lands. The sequence is read before cond, so a
+// write landing between the check and the park is never missed.
+func waitCond(dev *Device, opts TransferOpts, what string, cond func() bool) error {
 	o := opts.withDefaults()
 	deadline := time.Now().Add(o.Deadline)
-	for spins := 0; !cond(); spins++ {
-		if spins > 256 {
-			if o.Canceled != nil && o.Canceled() {
-				return fmt.Errorf("rdma: %s: %w", what, ErrCanceled)
-			}
-			if time.Now().After(deadline) {
-				return fmt.Errorf("rdma: %s: no progress after %v: %w", what, o.Deadline, ErrTimeout)
-			}
-			sleep(o.PollInterval)
-		} else {
-			runtime.Gosched()
+	for spins := 0; ; spins++ {
+		seq := dev.LandedSeq()
+		if cond() {
+			return nil
 		}
+		if spins <= waitSpins {
+			runtime.Gosched()
+			continue
+		}
+		if o.Canceled != nil && o.Canceled() {
+			return fmt.Errorf("rdma: %s: %w", what, ErrCanceled)
+		}
+		if time.Now().After(deadline) {
+			return fmt.Errorf("rdma: %s: no progress after %v: %w", what, o.Deadline, ErrTimeout)
+		}
+		dev.WaitLanded(seq, maxPark)
 	}
-	return nil
 }
 
 // memcpyAttempt is one blocking Memcpy, tolerant of duplicated completions.
@@ -240,7 +265,7 @@ func (c *Channel) memcpyAttempt(localOff int, local *MemRegion, remoteOff int, r
 // protocols in this package re-send identical bytes.
 func (c *Channel) MemcpyRetry(localOff int, local *MemRegion, remoteOff int, remote RemoteRegion,
 	size int, dir Op, opts TransferOpts) error {
-	return retryLoop(opts, fmt.Sprintf("%s %dB to %s", dir, size, c.remote), func() error {
+	return retryLoop(opts, opLabel{dir.String(), size, c.remote}, func() error {
 		return c.memcpyAttempt(localOff, local, remoteOff, remote, size, dir)
 	})
 }
@@ -256,7 +281,7 @@ func (c *Channel) CallRetry(method string, req []byte, opts TransferOpts) ([]byt
 		perCall = o.Deadline
 	}
 	var resp []byte
-	err := retryLoop(o, fmt.Sprintf("rpc %q to %s", method, c.remote), func() error {
+	err := retryLoop(o, opLabel{"rpc " + strconv.Quote(method), -1, c.remote}, func() error {
 		var err error
 		resp, err = c.Call(method, req, perCall)
 		return err
@@ -297,7 +322,7 @@ func (s *StaticSender) SendRetryFrom(payload []byte, opts TransferOpts) error {
 func (s *StaticSender) sendRetryFrom(payload []byte, opts TransferOpts) error {
 	o := opts.withDefaults()
 	start := time.Now()
-	err := retryLoop(o, fmt.Sprintf("static send %dB to %s", s.desc.PayloadSize, s.ch.Remote()),
+	err := retryLoop(o, opLabel{"static send", s.desc.PayloadSize, s.ch.Remote()},
 		func() error {
 			// Lanes are acquired per attempt: with a LaneSource (mux mode)
 			// the slot is pinned only while this attempt's writes are in
@@ -330,7 +355,7 @@ func (s *StaticSender) sendRetryFrom(payload []byte, opts TransferOpts) error {
 // from a partitioned one, so the failure is a typed ErrTimeout; callers
 // with fabric knowledge may refine it.
 func (r *StaticReceiver) Wait(opts TransferOpts) error {
-	return waitCond(opts, "static recv flag", r.Poll)
+	return waitCond(r.mr.dev, opts, "static recv flag", r.Poll)
 }
 
 // --- Dynamic allocation ---
@@ -341,7 +366,7 @@ func (r *StaticReceiver) Wait(opts TransferOpts) error {
 func (s *DynSender) SendRetry(payloadMR *MemRegion, payloadOff, payloadSize int,
 	dtype uint32, dims []uint64, opts TransferOpts) error {
 	start := time.Now()
-	err := retryLoop(opts, fmt.Sprintf("dyn send %dB to %s", payloadSize, s.ch.Remote()),
+	err := retryLoop(opts, opLabel{"dyn send", payloadSize, s.ch.Remote()},
 		func() error {
 			ch, release, lerr := laneFor(s.source, s.ch.Remote(), s.ch)
 			if lerr != nil {
@@ -374,7 +399,7 @@ func (s *DynSender) SendRetry(payloadMR *MemRegion, payloadOff, payloadSize int,
 // metadata, or fails with a typed ErrTimeout at the opts deadline.
 func (r *DynReceiver) WaitMeta(opts TransferOpts) (DynMeta, error) {
 	var meta DynMeta
-	err := waitCond(opts, "dyn metadata flag", func() bool {
+	err := waitCond(r.mr.dev, opts, "dyn metadata flag", func() bool {
 		m, ok := r.Poll()
 		if ok {
 			meta = m

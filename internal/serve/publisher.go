@@ -350,7 +350,9 @@ func (p *WeightPublisher) writeVersion(r *replicaState, v uint64) error {
 // release — that covers the first two publications and every readmitted
 // restart. This wait is the staleness bound's enforcement point: refusing
 // to overwrite an unreleased bank is exactly what keeps a pinned reader's
-// weights intact and the fleet within one version of the trainer.
+// weights intact and the fleet within one version of the trainer. Between
+// checks it parks on the device's landed-write signal, which the replica's
+// one-sided ack write bumps.
 func (p *WeightPublisher) waitBankFree(r *replicaState, bank int, deadline time.Time) error {
 	p.mu.Lock()
 	need := r.written[bank]
@@ -358,7 +360,9 @@ func (p *WeightPublisher) waitBankFree(r *replicaState, bank int, deadline time.
 	if need == 0 {
 		return nil
 	}
+	dev := p.cfg.Dev
 	for {
+		seq := dev.LandedSeq()
 		if ackd := r.ack.LoadWord(bank * versionWordSize); ackd >= need {
 			return nil
 		}
@@ -366,9 +370,13 @@ func (p *WeightPublisher) waitBankFree(r *replicaState, bank int, deadline time.
 			return fmt.Errorf("%w: bank %d of %s holds v%d unreleased",
 				ErrBankHeld, bank, r.target.Task, need)
 		}
-		time.Sleep(20 * time.Microsecond)
+		dev.WaitLanded(seq, maxAckPark)
 	}
 }
+
+// maxAckPark bounds one park of waitBankFree; the replica's ack write
+// normally ends it first.
+const maxAckPark = 20 * time.Microsecond
 
 // lanesFor resolves the publisher's QP lanes to one replica.
 func (p *WeightPublisher) lanesFor(task string) ([]*rdma.Channel, error) {

@@ -43,12 +43,17 @@ type ReplicaConfig struct {
 	PublisherTask string
 	// Workers sizes each bank executor's scheduler pool (default 2).
 	Workers int
-	// SwapPoll is the version-word poll interval (default 50µs).
-	SwapPoll time.Duration
 	// Metrics receives swap counters (optional); Hists op latency.
 	Metrics *metrics.Serve
 	Hists   *metrics.Set
 }
+
+// maxSwapPark bounds one park of the swap loop between checks of the version
+// words or the draining bank's reader count. The park normally ends when the
+// publisher's write lands in a bank or the last reader releases; the bound
+// only keeps a missed wake from stalling the loop. A variable so tests can
+// raise it and prove the wakes alone drive the loop.
+var maxSwapPark = 50 * time.Microsecond
 
 // bank is one of the replica's two weight buffers: registered memory the
 // publisher writes into, a store whose tensors alias it, and a forward
@@ -101,9 +106,6 @@ func NewReplica(cfg ReplicaConfig) (*Replica, error) {
 	}
 	if cfg.Workers <= 0 {
 		cfg.Workers = 2
-	}
-	if cfg.SwapPoll <= 0 {
-		cfg.SwapPoll = 50 * time.Microsecond
 	}
 	gb := graph.NewBuilder()
 	if err := cfg.Spec.Build(gb); err != nil {
@@ -162,9 +164,13 @@ func (r *Replica) Start() {
 }
 
 // Close stops the swap loop (the device is owned by the fleet and closed
-// separately); idempotent.
+// separately); idempotent. The loop re-checks stopCh after every park, so
+// waking the device's parked waiters releases it at once.
 func (r *Replica) Close() {
-	r.stopOnce.Do(func() { close(r.stopCh) })
+	r.stopOnce.Do(func() {
+		close(r.stopCh)
+		r.cfg.Dev.WakeLanded()
+	})
 	r.wg.Wait()
 }
 
@@ -192,7 +198,17 @@ type BankRef struct {
 // publisher cannot overwrite the bank, which is what makes every served
 // response bit-identical to a complete published snapshot.
 func (ref *BankRef) Release() {
-	ref.once.Do(func() { ref.bank.readers.Add(-1) })
+	ref.once.Do(func() { ref.r.unpin(ref.bank) })
+}
+
+// unpin drops one reader of b. The release that drains a bank the swap loop
+// is waiting on wakes it: releaseBank raises swapping before it reads the
+// count, and this decrement precedes the swapping load, so either the loop
+// sees zero readers or this release sees the drain and wakes its park.
+func (r *Replica) unpin(b *bank) {
+	if b.readers.Add(-1) == 0 && r.swapping.Load() != 0 {
+		r.cfg.Dev.WakeLanded()
+	}
 }
 
 // Acquire pins the active bank. ok is false while the replica is warming
@@ -210,7 +226,7 @@ func (r *Replica) Acquire() (*BankRef, bool) {
 		}
 		// Swap landed between the load and the pin; retry against the new
 		// active bank.
-		b.readers.Add(-1)
+		r.unpin(b)
 	}
 }
 
@@ -229,13 +245,15 @@ func (r *Replica) Infer(ref *BankRef, x *tensor.Tensor) (*tensor.Tensor, error) 
 // words, swap to a committed newer version (the word is written only after
 // the payload, so a committed word implies a complete snapshot), drain the
 // bank the previous version lived in, and release it to the publisher.
+// Between polls it parks on the device's landed-write signal, read before
+// the words are, so the version word's landing ends the park.
 func (r *Replica) swapLoop() {
 	defer r.wg.Done()
+	dev := r.cfg.Dev
 	for {
-		select {
-		case <-r.stopCh:
+		seq := dev.LandedSeq()
+		if r.stopped() {
 			return
-		default:
 		}
 		cur := r.active.Load()
 		var next uint64
@@ -248,11 +266,7 @@ func (r *Replica) swapLoop() {
 			}
 		}
 		if next == 0 {
-			select {
-			case <-r.stopCh:
-				return
-			case <-time.After(r.cfg.SwapPoll):
-			}
+			dev.WaitLanded(seq, maxSwapPark)
 			continue
 		}
 		r.active.Store(next)
@@ -265,18 +279,31 @@ func (r *Replica) swapLoop() {
 	}
 }
 
+// stopped reports whether Close has begun.
+func (r *Replica) stopped() bool {
+	select {
+	case <-r.stopCh:
+		return true
+	default:
+		return false
+	}
+}
+
 // releaseBank waits for the bank that held version v to drain, then posts
 // the one-sided release ack the publisher's next overwrite waits on.
 func (r *Replica) releaseBank(v uint64) {
 	r.swapping.Store(1)
 	defer r.swapping.Store(0)
 	old := r.banks[v%2]
-	for old.readers.Load() > 0 {
-		select {
-		case <-r.stopCh:
+	for {
+		seq := r.cfg.Dev.LandedSeq()
+		if r.stopped() {
 			return
-		case <-time.After(r.cfg.SwapPoll):
 		}
+		if old.readers.Load() == 0 {
+			break
+		}
+		r.cfg.Dev.WaitLanded(seq, maxSwapPark)
 	}
 	r.ackMu.Lock()
 	dst, ok := r.ackDst, r.hasAck

@@ -232,7 +232,7 @@ func TestStalenessBoundUnderLoad(t *testing.T) {
 	table.Add(r1)
 	fe, err := NewFrontend(FrontendConfig{
 		Table: table, Spec: f.spec, MaxQueue: 64,
-		BatchWait: 100 * time.Microsecond,
+		BatchWait:      100 * time.Microsecond,
 		TrainerVersion: f.pub.Version, Metrics: f.met,
 	})
 	if err != nil {
@@ -535,4 +535,46 @@ func TestPublisherBankHeldTimeout(t *testing.T) {
 			t.Fatalf("publish never recovered after release: %v", err)
 		}
 	}
+}
+
+// TestReleaseWakesDrainWithoutTimer: the reader release that drains the
+// previous bank wakes the swap loop's releaseBank directly. With the park
+// bound raised to an hour, only that wake can end the drain, so the swap
+// finishing promptly proves no timer is involved.
+func TestReleaseWakesDrainWithoutTimer(t *testing.T) {
+	saved := maxSwapPark
+	maxSwapPark = time.Hour
+	t.Cleanup(func() { maxSwapPark = saved })
+
+	f := newFleet(t, 2, 4, 1)
+	r, _ := f.addReplica(t, "replica-0")
+	v1 := f.publishNext(t)
+	waitVersion(t, r, v1)
+	ref, ok := r.Acquire()
+	if !ok || ref.Version != v1 {
+		t.Fatalf("acquire = %v, %v; want v%d", ref, ok, v1)
+	}
+	v2 := f.publishNext(t)
+	waitVersion(t, r, v2)
+	// The swap loop now drains v1's bank, parked until the pin drops.
+	deadline := time.Now().Add(5 * time.Second)
+	for !r.Swapping() {
+		if time.Now().After(deadline) {
+			t.Fatal("replica never started draining the previous bank")
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	start := time.Now()
+	ref.Release()
+	for r.Swapping() {
+		if time.Since(start) > 5*time.Second {
+			t.Fatal("drain still parked after the last reader released: the release did not wake it")
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	// The release ack landed, so v1's bank is reusable for v3.
+	if v3 := f.publishNext(t); v3 != v2+1 {
+		t.Fatalf("published v%d, want v%d", v3, v2+1)
+	}
+	waitVersion(t, r, v2+1)
 }

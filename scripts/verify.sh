@@ -28,6 +28,61 @@ go test -race -run '^TestRecoveryWorkerCrashBitIdentical$|^TestHeartbeatDetector
 go test -race -run '^TestCloseMidTransferFailsFast$|^TestCloseMidStripedTransferFailsFast$|^TestClosePeerSeversThenRebuilds$' ./internal/rdma/
 go test -race -run '^TestPurePollingBoundedSpin$|^TestPollBackoffPreservesFairness$' ./internal/exec/
 
+# Landed-write park gates: a poll of a peer-written word parks on the
+# device's landed-write signal instead of sleeping. No wakeup may be lost
+# (a write between the sequence read and the park ends the park at once,
+# also under a -race stress of concurrent bumps and parks), the executor
+# reads the sequence before it polls, Abort/Close/ClosePeer release parked
+# waiters, the poll-wait histogram records the measured park, a reader
+# release wakes the replica's drain without a timer, and a lossless lossy
+# round trip never retransmits — neither with a slow blast (NACKs pace from
+# the last chunk arrival) nor run repeatedly (it used to flake).
+echo "== landed-write park gates (-race) =="
+go test -race -run '^TestWaitLandedNoLostWakeup$|^TestWaitLandedWakesOnEveryVerb$|^TestLossyNackWaitsWhileChunksLand$' ./internal/rdma/
+go test -race -count=10 -run '^TestLandedSignalStress$' ./internal/rdma/
+go test -race -count=20 -run '^TestLossyRoundTripNoLoss$' ./internal/rdma/
+go test -race -run '^TestWorkerReadsLandedSeqBeforePoll$|^TestAbortWakesParkedWorker$|^TestPollWaitRecordsMeasuredPark$|^TestPollBackoffCurve$' ./internal/exec/
+go test -race -run '^TestReleaseWakesDrainWithoutTimer$' ./internal/serve/
+
+# Timer guard: in exec, rdma and serve a wait for a peer-written word parks
+# on the landed-write signal, so a sleep or timer in their production files
+# is allowed only where waiting on time is the point. Each entry is
+# "file:line text".
+echo "== timer guard (exec, rdma, serve) =="
+timer_allow=(
+	'internal/rdma/sleep.go:var sleep = time.Sleep'              # retryLoop backoff and fault-injection seam
+	'internal/rdma/retry.go:sleep(busyBackoff)'                  # retryLoop backoff on busy QP slots
+	'internal/rdma/retry.go:sleep(backoff)'                      # retryLoop backoff between attempts
+	'internal/rdma/device.go:sleep(cf.Delay)'                    # fault injection: completion delay
+	'internal/rdma/device.go:sleep(delay)'                       # fault injection: transfer and path delay
+	'internal/rdma/landed.go:time.NewTimer(time.Hour)'           # the park's bound (pooled, Reset per park)
+	'internal/rdma/rpc.go:time.NewTimer(timeout)'                # RPC call timeout
+	'internal/exec/exec.go:time.Sleep(d)'                        # park fallback for an Env without the signal
+	'internal/serve/frontend.go:time.NewTimer(f.cfg.BatchWait)' # the frontend's batching window
+)
+timer_bad=0
+while IFS= read -r hit; do
+	file=${hit%%:*}
+	text=${hit#*:}
+	text=${text#*:}
+	allowed=0
+	for entry in "${timer_allow[@]}"; do
+		if [[ "$file" == "${entry%%:*}" && "$text" == *"${entry#*:}"* ]]; then
+			allowed=1
+			break
+		fi
+	done
+	if [[ $allowed == 0 ]]; then
+		echo "timer outside the allowlist: $hit"
+		timer_bad=1
+	fi
+done < <(grep -nE 'time\.(Sleep|After|NewTimer|Tick)|(^|[^.A-Za-z_])sleep\(' \
+	$(ls internal/exec/*.go internal/rdma/*.go internal/serve/*.go | grep -v '_test\.go$') || true)
+if [[ $timer_bad != 0 ]]; then
+	echo "verify: a poll must park on the landed-write signal (rdma.Device.WaitLanded), not sleep"
+	exit 1
+fi
+
 # Observability gates: the Prometheus encoder golden file, the live obs
 # endpoint, and the metrics/trace/step-books consistency suite (including
 # its recovery-rebuild variant) must hold under the race detector.
