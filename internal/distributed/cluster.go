@@ -38,7 +38,8 @@ type Config struct {
 	// RingCfg tunes the gRPC.RDMA ring transport.
 	RingCfg transport.RingConfig
 	// NumCQs and QPsPerPeer configure the RDMA devices (default 4/4, the
-	// paper's evaluation setting).
+	// paper's evaluation setting). An edge stripes over at most QPsPerPeer
+	// lanes (rdma.Device.LaneCount), whatever Transfer.Stripes asks.
 	NumCQs, QPsPerPeer int
 	// QPSlots, when positive, multiplexes each device's peer channels over
 	// a bounded pool of QP slots (rdma.QPMux): at most QPSlots peers hold
@@ -244,7 +245,7 @@ func (c *Cluster) newServer(task string) (*Server, error) {
 	srv.Env.Xfer = c.cfg.Transfer
 	srv.Env.Hists = hists
 	if c.cfg.QPSlots > 0 {
-		mux, err := rdma.NewQPMux(dev, c.cfg.QPSlots, c.muxLanes())
+		mux, err := rdma.NewQPMux(dev, c.cfg.QPSlots, dev.LaneCount(c.cfg.Transfer.Stripes))
 		if err != nil {
 			return nil, err
 		}
@@ -459,7 +460,7 @@ func (c *Cluster) setupRecvEdge(dst *Server, e analyzer.EdgeSpec) error {
 			if err != nil {
 				return fmt.Errorf("edge %s: %w", e.Key, err)
 			}
-			ch, release, err := c.chanFor(dst, e.SrcTask)
+			ch, lanes, release, err := dst.edgeLanes(e.SrcTask, 1)
 			if err != nil {
 				return fmt.Errorf("edge %s: %w", e.Key, err)
 			}
@@ -468,7 +469,7 @@ func (c *Cluster) setupRecvEdge(dst *Server, e analyzer.EdgeSpec) error {
 			recv, err := rdma.NewLossyReceiver(ch, mr, 0, payload, edgeTensorID(e.Key),
 				rdma.LossyReceiverConfig{
 					OnNack: func(int) { m.AddNack() },
-					Source: muxSource(dst),
+					Source: lanes,
 				})
 			if err != nil {
 				return fmt.Errorf("edge %s: %w", e.Key, err)
@@ -497,7 +498,8 @@ func (c *Cluster) setupRecvEdge(dst *Server, e analyzer.EdgeSpec) error {
 	if err != nil {
 		return fmt.Errorf("edge %s: %w", e.Key, err)
 	}
-	ch, release, err := c.chanFor(dst, e.SrcTask)
+	// The Dyn fetch is receiver-driven, so its stripe lanes live here.
+	ch, lanes, release, err := dst.edgeLanes(e.SrcTask, c.cfg.Transfer.Stripes)
 	if err != nil {
 		return fmt.Errorf("edge %s: %w", e.Key, err)
 	}
@@ -506,22 +508,7 @@ func (c *Cluster) setupRecvEdge(dst *Server, e analyzer.EdgeSpec) error {
 	if err != nil {
 		return fmt.Errorf("edge %s: %w", e.Key, err)
 	}
-	if dst.Mux != nil {
-		// Muxed: every fetch leases its lanes per attempt.
-		recv.SetLaneSource(dst.Mux)
-	} else {
-		// Striping: the dyn fetch is receiver-driven, so the extra QP
-		// lanes live on the receiver.
-		for i := 1; i < c.stripeLanes(); i++ {
-			lane, err := dst.Dev.GetChannel(e.SrcTask, dst.nextQP(e.SrcTask, c.cfg.QPsPerPeer))
-			if err != nil {
-				return fmt.Errorf("edge %s lane %d: %w", e.Key, i, err)
-			}
-			if err := recv.AddLane(lane); err != nil {
-				return fmt.Errorf("edge %s lane %d: %w", e.Key, i, err)
-			}
-		}
-	}
+	recv.SetLaneSource(lanes)
 	dst.Env.mu.Lock()
 	dst.Env.dynRecv[e.Key] = &dynRecvState{spec: e, opts: dst.Env.xferOptsFor(e.Key), recv: recv}
 	dst.Env.mu.Unlock()
@@ -530,10 +517,14 @@ func (c *Cluster) setupRecvEdge(dst *Server, e analyzer.EdgeSpec) error {
 }
 
 // setupSendEdge builds one edge's sender-side state: descriptor fetch via
-// address distribution, staging/scratch wiring, stripe lanes or mux source,
-// and — on a lossy fabric — the NACK-scratch push back to the receiver.
+// address distribution, staging/scratch wiring, the edge's lanes, and — on
+// a lossy fabric — the NACK-scratch push back to the receiver.
 func (c *Cluster) setupSendEdge(src *Server, e analyzer.EdgeSpec) error {
-	ch, release, err := c.chanFor(src, e.DstTask)
+	stripes := 1
+	if e.Sig.Static {
+		stripes = c.cfg.Transfer.Stripes // static writes stripe on the sender
+	}
+	ch, lanes, release, err := src.edgeLanes(e.DstTask, stripes)
 	if err != nil {
 		return fmt.Errorf("edge %s: %w", e.Key, err)
 	}
@@ -558,20 +549,7 @@ func (c *Cluster) setupSendEdge(src *Server, e analyzer.EdgeSpec) error {
 		if err != nil {
 			return fmt.Errorf("edge %s: %w", e.Key, err)
 		}
-		if src.Mux != nil {
-			sender.SetLaneSource(src.Mux)
-		} else {
-			// Striping: extra sender-side QP lanes for the write path.
-			for i := 1; i < c.stripeLanes(); i++ {
-				lane, err := src.Dev.GetChannel(e.DstTask, src.nextQP(e.DstTask, c.cfg.QPsPerPeer))
-				if err != nil {
-					return fmt.Errorf("edge %s lane %d: %w", e.Key, i, err)
-				}
-				if err := sender.AddLane(lane); err != nil {
-					return fmt.Errorf("edge %s lane %d: %w", e.Key, i, err)
-				}
-			}
-		}
+		sender.SetLaneSource(lanes)
 		st := &staticSendState{spec: e, opts: src.Env.xferOptsFor(e.Key), slot: slot, sender: sender}
 		if c.cfg.LossyFabric {
 			ls, err := rdma.NewLossySender(sender, edgeTensorID(e.Key))
@@ -608,9 +586,7 @@ func (c *Cluster) setupSendEdge(src *Server, e analyzer.EdgeSpec) error {
 	if err != nil {
 		return fmt.Errorf("edge %s: %w", e.Key, err)
 	}
-	if src.Mux != nil {
-		sender.SetLaneSource(src.Mux)
-	}
+	sender.SetLaneSource(lanes)
 	src.Env.mu.Lock()
 	src.Env.dynSend[e.Key] = &dynSendState{spec: e, opts: src.Env.xferOptsFor(e.Key),
 		sender: sender, dev: src.Dev}
@@ -631,7 +607,7 @@ func (c *Cluster) setupCoalRecvGroup(dst *Server, p *coalPlan) error {
 	if err != nil {
 		return fmt.Errorf("coalesce group %s: %w", p.key, err)
 	}
-	ch, release, err := c.chanFor(dst, p.srcTask)
+	ch, lanes, release, err := dst.edgeLanes(p.srcTask, 1)
 	if err != nil {
 		return fmt.Errorf("coalesce group %s: %w", p.key, err)
 	}
@@ -640,9 +616,7 @@ func (c *Cluster) setupCoalRecvGroup(dst *Server, p *coalPlan) error {
 	if err != nil {
 		return fmt.Errorf("coalesce group %s: %w", p.key, err)
 	}
-	if dst.Mux != nil {
-		recv.SetLaneSource(dst.Mux)
-	}
+	recv.SetLaneSource(lanes)
 	g := &coalRecvGroup{key: p.key, ackOpts: dst.Env.xferOpts(), recv: recv,
 		pending: make(map[uint32][]byte)}
 	dst.Env.mu.Lock()
@@ -658,7 +632,7 @@ func (c *Cluster) setupCoalRecvGroup(dst *Server, p *coalPlan) error {
 // setupCoalSendGroup builds one pair's coalesced batch sender and pushes
 // the reuse-ack word back to the receiver group.
 func (c *Cluster) setupCoalSendGroup(src *Server, p *coalPlan) error {
-	ch, release, err := c.chanFor(src, p.dstTask)
+	ch, lanes, release, err := src.edgeLanes(p.dstTask, 1)
 	if err != nil {
 		return fmt.Errorf("coalesce group %s: %w", p.key, err)
 	}
@@ -680,9 +654,7 @@ func (c *Cluster) setupCoalSendGroup(src *Server, p *coalPlan) error {
 	if err != nil {
 		return fmt.Errorf("coalesce group %s: %w", p.key, err)
 	}
-	if src.Mux != nil {
-		sender.SetLaneSource(src.Mux)
-	}
+	sender.SetLaneSource(lanes)
 	g := &coalSendGroup{key: p.key, opts: src.Env.xferOptsFor(p.key), sender: sender,
 		members: len(p.members)}
 	src.Env.mu.Lock()
@@ -700,63 +672,26 @@ func (c *Cluster) setupCoalSendGroup(src *Server, p *coalPlan) error {
 	return nil
 }
 
-// stripeLanes is how many QP lanes each striped transfer edge gets
-// (clamped the same way the transfer layer clamps TransferOpts.Stripes).
-func (c *Cluster) stripeLanes() int {
-	s := c.cfg.Transfer.Stripes
-	if s > rdma.MaxStripes {
-		s = rdma.MaxStripes
-	}
-	return s
-}
-
-// muxLanes is the per-lease lane count when QP muxing is on: the stripe
-// lane count, at least 1, clamped to the device's QPs per peer (a mux slot
-// can hand out at most one peer connection's worth of QPs).
-func (c *Cluster) muxLanes() int {
-	lanes := c.stripeLanes()
-	if lanes < 1 {
-		lanes = 1
-	}
-	qpp := c.cfg.QPsPerPeer
-	if qpp == 0 {
-		qpp = 4
-	}
-	if lanes > qpp {
-		lanes = qpp
-	}
-	return lanes
-}
-
-// chanFor resolves a channel to peer for setup-time traffic: a short mux
-// lease (released via the returned func) when muxing is on, else a direct
-// round-robin QP. Senders and receivers built on a leased channel must be
-// given the mux as their lane source before the lease is released — after
-// that the constructor channel only names the peer, and every transfer
-// re-leases live lanes per attempt.
-func (c *Cluster) chanFor(s *Server, peer string) (*rdma.Channel, func(), error) {
+// edgeLanes resolves the lanes of one edge endpoint to peer: with muxing,
+// a setup lease on the server's mux (released via the returned func) and
+// the mux itself as the lane source, so every transfer re-leases live lanes
+// per attempt; otherwise a fixed set of Device.LaneCount(stripes) channels
+// on distinct QPs. ch is lane 0; endpoints built on it must take the lane
+// source before a lease is released.
+func (s *Server) edgeLanes(peer string, stripes int) (*rdma.Channel, rdma.LaneSource, func(), error) {
 	if s.Mux != nil {
 		lanes, release, err := s.Mux.AcquireLanes(peer)
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, nil, err
 		}
-		return lanes[0], release, nil
+		return lanes[0], s.Mux, release, nil
 	}
-	ch, err := s.Dev.GetChannel(peer, s.nextQP(peer, c.cfg.QPsPerPeer))
+	n := s.Dev.LaneCount(stripes)
+	lanes, err := s.Dev.Lanes(peer, s.nextQP(peer, n), n)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
-	return ch, func() {}, nil
-}
-
-// muxSource returns the server's mux as a lane source, or a nil interface
-// when muxing is off (a plain `s.Mux` would be a typed nil the rdma layer
-// cannot distinguish from a live source).
-func muxSource(s *Server) rdma.LaneSource {
-	if s.Mux == nil {
-		return nil
-	}
-	return s.Mux
+	return lanes[0], lanes, func() {}, nil
 }
 
 // edgeTensorID derives the stable non-zero tensor identity the lossy
@@ -807,19 +742,17 @@ func (s *Server) putDesc(key string, d []byte) {
 	s.descs[key] = d
 }
 
-// nextQP spreads edges over the QPs to a peer in round-robin order,
-// following the paper's load-balancing guidance (§3.1).
-func (s *Server) nextQP(peer string, qpsPerPeer int) int {
-	if qpsPerPeer == 0 {
-		qpsPerPeer = 4
-	}
+// nextQP reserves n consecutive QPs to peer (Device.Lanes wraps them), so
+// edges spread over the QP group in round-robin order, following the
+// paper's load-balancing guidance (§3.1).
+func (s *Server) nextQP(peer string, n int) int {
 	s.descMu.Lock()
 	defer s.descMu.Unlock()
 	if s.qpCounters == nil {
 		s.qpCounters = make(map[string]int)
 	}
-	idx := s.qpCounters[peer] % qpsPerPeer
-	s.qpCounters[peer]++
+	idx := s.qpCounters[peer]
+	s.qpCounters[peer] += n
 	return idx
 }
 

@@ -34,7 +34,9 @@ type ServingConfig struct {
 	Spec serve.ForwardSpec
 	// Vars is the trainer-side variable store snapshots are taken from.
 	Vars *exec.VarStore
-	// Lanes stripes each bank publication across QP lanes (default 2).
+	// Lanes is the fleet's one lane knob: the QPs per peer of every fleet
+	// device, and so the lanes each bank publication stripes over
+	// (default 2, at most rdma.MaxStripes used).
 	Lanes int
 	// MaxQueue / BatchWait tune frontend admission (serve defaults apply).
 	MaxQueue  int
@@ -102,8 +104,7 @@ func NewServingFleet(cfg ServingConfig) (*ServingFleet, error) {
 		return nil, fmt.Errorf("%w: creating publisher device: %w", ErrSetup, err)
 	}
 	pub, err := serve.NewWeightPublisher(serve.PublisherConfig{
-		Dev: tdev, Vars: cfg.Vars, Layout: layout,
-		Lanes: cfg.Lanes, Metrics: cfg.Metrics, Hists: cfg.Hists,
+		Dev: tdev, Vars: cfg.Vars, Layout: layout, Metrics: cfg.Metrics, Hists: cfg.Hists,
 	})
 	if err != nil {
 		tdev.Close()

@@ -253,3 +253,49 @@ func TestStripedCoalescedPartitionFailsTyped(t *testing.T) {
 	}
 	t.Logf("failed as expected after %v: %v", elapsed, err)
 }
+
+// TestStripeLaneCountRule: one lane-count rule for every edge kind. With
+// Stripes=8 over QPsPerPeer=4 an edge gets min(8, 4, MaxStripes) = 4 lanes
+// — direct and muxed alike — so its 8 chunks ride 4 distinct QPs, two per
+// doorbell, and no lane aliases another's QP. Training stays bit-identical
+// to the unstriped run.
+func TestStripeLaneCountRule(t *testing.T) {
+	base := Config{
+		Kind:        RDMA,
+		ArenaBytes:  1 << 20,
+		PollTimeout: 30 * time.Second,
+		QPsPerPeer:  4,
+		Transfer:    rdma.TransferOpts{Deadline: 8 * time.Second},
+	}
+	const psCount, steps = 1, 6
+	refLosses, _, _, _, err := runTransferTraining(t, base, psCount, steps, nil)
+	if err != nil {
+		t.Fatalf("baseline run: %v", err)
+	}
+	for _, v := range []struct {
+		name  string
+		slots int
+	}{{"direct", 0}, {"muxed", 4}} {
+		t.Run(v.name, func(t *testing.T) {
+			cfg := base
+			cfg.QPSlots = v.slots
+			cfg.Transfer.Stripes = 8
+			losses, _, _, ms, err := runTransferTraining(t, cfg, psCount, steps, nil)
+			if err != nil {
+				t.Fatalf("%s run: %v", v.name, err)
+			}
+			for i := range refLosses {
+				if losses[i] != refLosses[i] {
+					t.Fatalf("loss[%d] = %v, baseline %v", i, losses[i], refLosses[i])
+				}
+			}
+			maxLanes := 0
+			for _, s := range ms {
+				maxLanes = max(maxLanes, s.ActiveLanes())
+			}
+			if maxLanes != 4 {
+				t.Fatalf("%d active lanes, want min(Stripes 8, QPsPerPeer 4) = 4", maxLanes)
+			}
+		})
+	}
+}

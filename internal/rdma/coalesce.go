@@ -60,12 +60,8 @@ type CoalescedReceiver struct {
 	capacity int
 	ch       *Channel   // channel to the sender, for ack writes
 	ackSrc   *MemRegion // one word containing FlagSet
-	// source, when set, supplies AckRetry's channel per attempt (QP mux).
-	source LaneSource
+	laneSet             // AckRetry's lanes
 }
-
-// SetLaneSource routes AckRetry through a per-attempt lane source.
-func (r *CoalescedReceiver) SetLaneSource(src LaneSource) { r.source = src }
 
 // NewCoalescedReceiver claims [off, off+StaticSlotSize(capacity)) of mr as
 // the batch slot for a sender reached via ch, and clears its flag.
@@ -85,7 +81,8 @@ func NewCoalescedReceiver(ch *Channel, mr *MemRegion, off, capacity int) (*Coale
 		return nil, err
 	}
 	ackSrc.SetFlagLocal(0)
-	r := &CoalescedReceiver{mr: mr, off: off, capacity: capacity, ch: ch, ackSrc: ackSrc}
+	r := &CoalescedReceiver{mr: mr, off: off, capacity: capacity, ch: ch, ackSrc: ackSrc,
+		laneSet: laneSet{FixedLanes{ch}}}
 	mr.ClearFlag(r.flagOff())
 	return r, nil
 }
@@ -112,18 +109,14 @@ func (r *CoalescedReceiver) Messages() ([]wire.SubMsg, error) {
 func (r *CoalescedReceiver) Consume() { r.mr.ClearFlag(r.flagOff()) }
 
 // AckRetry posts the reuse ack into the sender's ack word, unblocking its
-// next Flush. Call after Consume (and after copying any payloads out); the
+// next FlushRetry. Call after Consume (and after copying any payloads out); the
 // ack is a constant one-word write, so retrying it is idempotent.
 func (r *CoalescedReceiver) AckRetry(senderAck DynSlotDesc, opts TransferOpts) error {
-	return retryLoop(opts, opLabel{"coalesced ack", -1, r.ch.Remote()}, func() error {
-		ch, release, err := laneFor(r.source, r.ch.Remote(), r.ch)
-		if err != nil {
-			return err
-		}
-		defer release()
-		return ch.memcpyAttempt(0, r.ackSrc, senderAck.Off, senderAck.Region,
-			FlagWordSize, OpWrite)
-	})
+	return retryLoop(opts, opLabel{"coalesced ack", -1, r.ch.Remote()}, r.src,
+		func(lanes []*Channel, _ time.Time) error {
+			return lanes[0].MemcpySync(0, r.ackSrc, senderAck.Off, senderAck.Region,
+				FlagWordSize, OpWrite)
+		})
 }
 
 // CoalescedSender stages sub-messages for one peer's batch slot and flushes
@@ -135,13 +128,9 @@ type CoalescedSender struct {
 	capacity int
 	desc     CoalescedSlotDesc
 	w        *wire.BatchWriter
-	// source, when set, supplies FlushRetry's channel per attempt (QP mux).
-	source  LaneSource
+	laneSet
 	started atomic.Bool // atomic: flushers and scheduler pollers race
 }
-
-// SetLaneSource routes FlushRetry through a per-attempt lane source.
-func (s *CoalescedSender) SetLaneSource(src LaneSource) { s.source = src }
 
 // NewCoalescedSender claims [off, off+StaticSlotSize(capacity)+FlagWordSize)
 // of mr: the staging batch, the staged tail flag, and the ack word the
@@ -161,7 +150,8 @@ func NewCoalescedSender(ch *Channel, mr *MemRegion, off int, desc CoalescedSlotD
 	if err != nil {
 		return nil, err
 	}
-	s := &CoalescedSender{ch: ch, mr: mr, off: off, capacity: desc.Capacity, desc: desc, w: w}
+	s := &CoalescedSender{ch: ch, mr: mr, off: off, capacity: desc.Capacity, desc: desc, w: w,
+		laneSet: laneSet{FixedLanes{ch}}}
 	mr.ClearFlag(s.ackOff())
 	return s, nil
 }
@@ -176,7 +166,7 @@ func (s *CoalescedSender) AckDesc() DynSlotDesc {
 
 // Stage appends one sub-message to the pending batch. The batch buffer is
 // only safe to mutate while the previous flush has been acked; callers
-// serialize Stage/Flush per sender (the distributed layer holds a group
+// serialize Stage/FlushRetry per sender (the distributed layer holds a group
 // lock).
 func (s *CoalescedSender) Stage(id uint32, payload []byte) error {
 	return s.w.Append(id, payload)
@@ -192,7 +182,7 @@ func (s *CoalescedSender) Count() int { return s.w.Count() }
 func (s *CoalescedSender) StagedBytes() int { return s.w.Len() }
 
 // PollReusable reports whether the previous batch has been acked (or none
-// was sent yet), i.e. whether Flush may transmit.
+// was sent yet), i.e. whether FlushRetry may transmit.
 func (s *CoalescedSender) PollReusable() bool {
 	if !s.started.Load() {
 		return true
@@ -200,55 +190,29 @@ func (s *CoalescedSender) PollReusable() bool {
 	return s.mr.PollFlag(s.ackOff())
 }
 
-// Flush transmits the staged batch: payload and tail flag in one ascending
-// write, exactly like StaticSender.Send, so the flag is never visible before
-// the full batch. Returns ErrBusy while the previous batch is unacked. cb
-// fires on a CQ poller when the write completes locally.
-func (s *CoalescedSender) Flush(cb func(error)) error { return s.flushOn(s.ch, cb) }
-
-// flushOn is Flush over an explicit channel (per-attempt lane acquisition).
-func (s *CoalescedSender) flushOn(ch *Channel, cb func(error)) error {
+// plan arms a flush and returns its write as an engine transfer: payload
+// and tail flag in one ascending write, exactly like StaticSender.Send, so
+// the flag is never visible before the full batch. Returns ErrBusy while
+// the previous batch is unacked.
+func (s *CoalescedSender) plan(lanes []*Channel) (*xfer, error) {
 	if !s.PollReusable() {
-		return ErrBusy
+		return nil, ErrBusy
 	}
 	s.started.Store(true)
 	s.mr.ClearFlag(s.ackOff())
 	s.mr.SetFlagLocal(s.flagOff())
-	return ch.Memcpy(s.off, s.mr, s.desc.Off, s.desc.Region,
-		StaticSlotSize(s.capacity), OpWrite, cb)
+	return slotWrite(lanes, s.mr, s.off, s.desc.Region, s.desc.Off, s.capacity, 1), nil
 }
 
-// FlushRetry is Flush blocking until the write completed, retrying ErrBusy
-// (ack still in flight) and transient fabric faults within the opts budget.
-// A failed attempt never made the flag visible, so re-sending the identical
-// batch is safe; the ack the attempt cleared is re-armed so the next attempt
-// does not deadlock on its own busy check.
+// FlushRetry transmits the staged batch, blocking until the write completed
+// and retrying ErrBusy (ack still in flight) and transient fabric faults
+// within the opts budget. A failed attempt never made the flag visible, so
+// re-sending the identical batch is safe; the ack the attempt cleared is
+// re-armed so the next attempt does not deadlock on its own busy check.
 func (s *CoalescedSender) FlushRetry(opts TransferOpts) error {
-	start := time.Now()
-	staged := s.w.Len()
-	err := retryLoop(opts, opLabel{"coalesced flush", staged, s.ch.Remote()},
-		func() error {
-			ch, release, lerr := laneFor(s.source, s.ch.Remote(), s.ch)
-			if lerr != nil {
-				return lerr
-			}
-			defer release()
-			done := make(chan error, 1)
-			if err := s.flushOn(ch, func(err error) {
-				select {
-				case done <- err:
-				default:
-				}
-			}); err != nil {
-				return err
-			}
-			err := <-done
-			if err != nil {
-				// The failed write never reached the receiver, so no ack will
-				// arrive for it: re-arm the ack word Flush cleared.
-				s.mr.SetFlagLocal(s.ackOff())
-			}
-			return err
+	return retryLoop(opts, opLabel{"coalesced flush", s.w.Len(), s.ch.Remote()}, s.src,
+		func(lanes []*Channel, _ time.Time) error {
+			x, err := s.plan(lanes)
+			return runRearming(x, err, s.mr, s.ackOff())
 		})
-	return observeComplete(opts, staged, start, err)
 }

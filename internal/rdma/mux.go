@@ -22,31 +22,6 @@ import (
 // that does not consume the caller's fault-retry budget (see retryLoop).
 var ErrQPBusy = errors.New("rdma: all qp slots leased")
 
-// LaneSource supplies the channels for one transfer attempt. Senders and
-// receivers that hold a LaneSource acquire their lanes per attempt and
-// release them when the attempt's completions have drained, so an idle
-// edge pins no QP slot between iterations. QPMux implements it; tests may
-// substitute fakes.
-type LaneSource interface {
-	// AcquireLanes returns ≥1 channels to peer plus a release func. Every
-	// returned channel targets peer; index i is QP lane i. Release must be
-	// called exactly once, after the attempt's posted work completed.
-	AcquireLanes(peer string) ([]*Channel, func(), error)
-}
-
-// laneFor resolves one channel for a single-lane attempt: through the
-// source when present, else the cached fallback with a no-op release.
-func laneFor(src LaneSource, peer string, fallback *Channel) (*Channel, func(), error) {
-	if src == nil {
-		return fallback, func() {}, nil
-	}
-	lanes, release, err := src.AcquireLanes(peer)
-	if err != nil {
-		return nil, nil, err
-	}
-	return lanes[0], release, nil
-}
-
 // QPMux multiplexes logical peer channels over a bounded pool of physical
 // QP slots on one device. A slot is the full lane group for one peer
 // (lanes QPs); Acquire binds a peer to a slot (creating QPs on first use),

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -225,42 +224,6 @@ func (m *MemRegion) placeChunk(t *writeTag, dstOff int, src []byte) (bool, error
 
 // --- tagged posting (channel-side) ---
 
-// taggedReq describes one chunk write of a tagged doorbell batch.
-type taggedReq struct {
-	localOff, remoteOff, size int
-	tag                       ChunkTag
-}
-
-// postTaggedChunks posts a lane's chunk writes as one doorbell batch.
-// Chunk completions carry no callback: on a lossy fabric a chunk's fate is
-// learned from the NACK protocol, not from its completion.
-func (c *Channel) postTaggedChunks(local *MemRegion, remote RemoteRegion,
-	lay lossySlotLayout, reqs []taggedReq) error {
-	wrs := make([]workRequest, len(reqs))
-	for i, r := range reqs {
-		wr, err := transferWR(r.localOff, local, r.remoteOff, remote, r.size, OpWrite, nil)
-		if err != nil {
-			return err
-		}
-		wr.tag = &writeTag{kind: tagChunk, tag: r.tag, guardOff: lay.guard, arrivalOff: lay.arrival}
-		wrs[i] = wr
-	}
-	return c.qp.postBatch(wrs)
-}
-
-// postArm posts the epoch-guard arm write. The local source bytes are
-// irrelevant (the epoch travels in the tag); localOff just names a valid
-// word so the bounds checks hold.
-func (c *Channel) postArm(local *MemRegion, localOff int, remote RemoteRegion,
-	guardOff int, epoch uint64, cb func(error)) error {
-	wr, err := transferWR(localOff, local, guardOff, remote, FlagWordSize, OpWrite, cb)
-	if err != nil {
-		return err
-	}
-	wr.tag = &writeTag{kind: tagArm, tag: ChunkTag{Epoch: epoch}, guardOff: guardOff}
-	return c.qp.post(wr)
-}
-
 // --- sender ---
 
 // Sender scratch layout: one 64-byte region per LossySender.
@@ -332,22 +295,6 @@ func (s *LossySender) Retransmits() int64 { return s.retransmits.Load() }
 func (s *LossySender) Nacks() int64       { return s.nacksSeen.Load() }
 func (s *LossySender) FullResends() int64 { return s.announces.Load() - s.sends.Load() }
 
-// chunkSet splits the aligned payload like the striped path does; chunk
-// boundaries and sizes are all 8-aligned, so placement is word-atomic.
-func (s *LossySender) chunkSet(stripes int) []StripeChunk {
-	return StripeDesc{
-		PayloadSize: uint64(alignUp(s.desc.PayloadSize)),
-		Stripes:     uint32(stripes),
-	}.Chunks()
-}
-
-func fullMask(n int) uint64 {
-	if n >= 64 {
-		return ^uint64(0)
-	}
-	return (uint64(1) << uint(n)) - 1
-}
-
 // SendRetry transmits the staging buffer over the lossy protocol, blocking
 // until the receiver acked complete arrival. Chunk loss is recovered
 // in-protocol (selective retransmit); only control-plane failures consume
@@ -358,47 +305,58 @@ func (s *LossySender) SendRetry(opts TransferOpts) error {
 
 // SendRetryFrom is SendRetry for an unstaged payload.
 func (s *LossySender) SendRetryFrom(payload []byte, opts TransferOpts) error {
-	if len(payload) != s.desc.PayloadSize {
-		return fmt.Errorf("rdma: payload %d bytes, slot holds %d: %w",
-			len(payload), s.desc.PayloadSize, ErrBounds)
+	if err := s.checkPayload(payload); err != nil {
+		return err
 	}
 	return s.lossySendRetry(payload, opts)
 }
 
 func (s *LossySender) lossySendRetry(payload []byte, opts TransferOpts) error {
 	o := opts.withDefaults()
-	start := time.Now()
 	s.sends.Add(1)
-	err := retryLoop(o, opLabel{"lossy send", s.desc.PayloadSize, s.ch.Remote()},
-		func() error { return s.attempt(payload, o) })
-	return observeComplete(o, s.desc.PayloadSize, start, err)
+	return retryLoop(o, opLabel{"lossy send", s.desc.PayloadSize, s.ch.Remote()}, s.src,
+		func(lanes []*Channel, deadline time.Time) error {
+			if payload != nil {
+				copy(s.Buffer(), payload)
+			}
+			return s.attempt(lanes, o, deadline)
+		})
 }
 
 // attempt is one epoch: arm + announce, blast every chunk, then serve
-// NACKs until the completion ack or the deadline.
-func (s *LossySender) attempt(payload []byte, o TransferOpts) error {
-	lanes, release, err := s.acquireLanes()
-	if err != nil {
-		return err
-	}
-	defer release()
-	if payload != nil {
-		copy(s.Buffer(), payload)
-	}
+// NACKs until the completion ack or the call's deadline.
+func (s *LossySender) attempt(lanes []*Channel, o TransferOpts, deadline time.Time) error {
 	s.epoch++
 	e := s.epoch
 	s.announces.Add(1)
-	chunks := s.chunkSet(o.Stripes)
-	if err := s.announce(lanes[0], e, len(chunks)); err != nil {
+	x := s.chunks(lanes, e, o)
+	if err := s.announce(lanes[0], e, len(x.chunks)); err != nil {
 		return err
 	}
-	s.blast(lanes, chunks, fullMask(len(chunks)), e, o)
-	return s.awaitAck(lanes, chunks, e, o)
+	x.post(fullMask(len(x.chunks)), false)
+	return s.awaitAck(x, e, o, deadline)
 }
 
-// announce arms the receiver's epoch guard and writes the retransmit
+// chunks is the epoch's engine plan: the aligned payload cut by
+// StripeDesc.Chunks at the requested stripe count (also on one lane — the
+// arrival table makes every chunk separately recoverable), each chunk a
+// tagged write of epoch e. The lossy policy posts it without a join or
+// commit word: a chunk's fate is learned from the NACK protocol, not from
+// its completion, so a failed post is just loss.
+func (s *LossySender) chunks(lanes []*Channel, e uint64, o TransferOpts) *xfer {
+	x := &xfer{
+		lanes: lanes, dir: OpWrite,
+		local: s.mr, localOff: s.off, remote: s.desc.Region, remoteOff: s.desc.Off,
+		tag: &writeTag{kind: tagChunk, tag: ChunkTag{TensorID: s.tensorID, Epoch: e},
+			guardOff: s.lay.guard, arrivalOff: s.lay.arrival},
+		onStripe: o.OnStripe, onDoorbell: o.OnDoorbell,
+	}
+	return x.split(alignUp(s.desc.PayloadSize), o.Stripes)
+}
+
+// announce arms the receiver's epoch guard, then writes the retransmit
 // descriptor, one word per write in order with the epoch word last, all on
-// one QP, and waits for the completions. After it returns, the receiver
+// one QP, waiting for each. After it returns, the receiver
 // accepts epoch-e chunks and discards everything older — which is why the
 // chunk blast must not start before the arm completed: chunks racing ahead
 // of the arm on other QPs would be discarded as stale.
@@ -413,114 +371,52 @@ func (s *LossySender) announce(ch *Channel, e uint64, chunks int) error {
 	for i := 0; i < retransmitDescWireSize/8; i++ {
 		s.scratch.StoreWord(descStagingOff+8*i, binary.LittleEndian.Uint64(b[8*i:]))
 	}
-	words := retransmitDescWireSize / 8
-	done := make(chan error, 1)
-	join := newStripeJoin(1+words, func(err error) {
-		select {
-		case done <- err:
-		default:
-		}
-	})
-	if err := ch.postArm(s.scratch, descStagingOff, s.desc.Region, s.lay.guard, e,
-		join.chunkCB(0)); err != nil {
-		return err
+	// The arm is a tagged one-word write: the epoch travels in the tag, the
+	// staged word only keeps the bounds checks whole.
+	arm := wordBatch(ch, s.scratch, descStagingOff, s.desc.Region, s.lay.guard, 1)
+	arm.tag = &writeTag{kind: tagArm, tag: ChunkTag{Epoch: e}, guardOff: s.lay.guard}
+	err := arm.run()
+	if err == nil {
+		err = wordBatch(ch, s.scratch, descStagingOff, s.desc.Region, s.lay.desc,
+			retransmitDescWireSize/8).run()
 	}
-	reqs := make([]MemcpyReq, words)
-	for i := range reqs {
-		reqs[i] = MemcpyReq{
-			LocalOff: descStagingOff + 8*i, Local: s.scratch,
-			RemoteOff: s.lay.desc + 8*i, Remote: s.desc.Region,
-			Size: FlagWordSize, Dir: OpWrite, CB: join.chunkCB(1 + i),
-		}
-	}
-	if err := ch.MemcpyBatch(reqs); err != nil {
-		// Nothing of the batch posted; drain the join with the error so the
-		// arm's completion cannot leave it dangling.
-		for _, r := range reqs {
-			r.CB(err)
-		}
-	}
-	if err := <-done; err != nil {
+	if err != nil {
 		return fmt.Errorf("rdma: lossy announce epoch %d to %s: %w", e, s.ch.Remote(), err)
 	}
 	return nil
 }
 
-// blast posts the chunks selected by mask, round-robin over the lanes as
-// one doorbell batch per lane. Chunk completions are ignored: a failed
-// post is indistinguishable from wire loss, and the NACK protocol recovers
-// both.
-func (s *LossySender) blast(lanes []*Channel, chunks []StripeChunk, mask, e uint64, o TransferOpts) {
-	nl := len(lanes)
-	batches := make([][]taggedReq, nl)
-	for i, chk := range chunks {
-		if mask&(uint64(1)<<uint(i)) == 0 {
-			continue
-		}
-		lane := i % nl
-		if o.OnStripe != nil {
-			o.OnStripe(lane, chk.Size)
-		}
-		batches[lane] = append(batches[lane], taggedReq{
-			localOff: s.off + chk.Off, remoteOff: s.desc.Off + chk.Off, size: chk.Size,
-			tag: ChunkTag{TensorID: s.tensorID, Seq: uint32(i), Epoch: e},
-		})
-	}
-	for lane, batch := range batches {
-		if len(batch) == 0 {
-			continue
-		}
-		if o.OnDoorbell != nil {
-			o.OnDoorbell(lane, len(batch))
-		}
-		_ = lanes[lane].postTaggedChunks(s.mr, s.desc.Region, s.lay, batch)
-	}
-}
-
-// awaitAck polls the sender scratch for receiver feedback: each new NACK
-// seq either completes the epoch (missing == 0) or names the chunks to
-// retransmit. The epoch word is read first; since the receiver writes each
-// NACK's words in order with the epoch last and keeps at most one NACK
-// write in flight, a matching epoch means seq and missing belong to this
-// epoch. The deadline makes total loss (a blackholed tensor) fail typed
-// and bounded: ErrTimeout, fatal in retryLoop.
-func (s *LossySender) awaitAck(lanes []*Channel, chunks []StripeChunk, e uint64, o TransferOpts) error {
-	deadline := time.Now().Add(o.Deadline)
-	dev := s.scratch.dev
+// awaitAck waits for receiver feedback in the sender scratch: each new
+// NACK seq either completes the epoch (missing == 0) or names the chunks
+// the plan re-posts. The epoch word is read first; since the receiver
+// writes each NACK's words in order with the epoch last and keeps at most
+// one NACK write in flight, a matching epoch means seq and missing belong
+// to this epoch. The call's deadline makes total loss (a blackholed tensor)
+// fail typed and bounded: ErrTimeout, fatal in retryLoop.
+func (s *LossySender) awaitAck(x *xfer, e uint64, o TransferOpts, deadline time.Time) error {
 	var lastSeq uint64
-	for spins := 0; ; spins++ {
-		if o.Canceled != nil && o.Canceled() {
-			return fmt.Errorf("rdma: lossy send epoch %d to %s: %w", e, s.ch.Remote(), ErrCanceled)
+	return waitCond(s.scratch.dev, o, deadline, "lossy send completion ack", func() bool {
+		if s.scratch.LoadWord(nackEpochOff) != e {
+			return false
 		}
-		// Read the landed sequence before the scratch words: a NACK or ack
-		// landing after this check then ends the park below at once.
-		landed := dev.LandedSeq()
-		if s.scratch.LoadWord(nackEpochOff) == e {
-			if seq := s.scratch.LoadWord(nackSeqOff); seq != lastSeq {
-				lastSeq = seq
-				missing := s.scratch.LoadWord(nackMissingOff) & fullMask(len(chunks))
-				if missing == 0 {
-					return nil
-				}
-				n := bits.OnesCount64(missing)
-				s.nacksSeen.Add(1)
-				s.retransmits.Add(int64(n))
-				if o.OnRetransmit != nil {
-					o.OnRetransmit(n)
-				}
-				s.blast(lanes, chunks, missing, e, o)
-			}
+		seq := s.scratch.LoadWord(nackSeqOff)
+		if seq == lastSeq {
+			return false
 		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("rdma: lossy send epoch %d to %s: no completion ack: %w",
-				e, s.ch.Remote(), ErrTimeout)
+		lastSeq = seq
+		missing := s.scratch.LoadWord(nackMissingOff) & fullMask(len(x.chunks))
+		if missing == 0 {
+			return true
 		}
-		if spins > waitSpins {
-			dev.WaitLanded(landed, maxPark)
-		} else {
-			runtime.Gosched()
+		n := bits.OnesCount64(missing)
+		s.nacksSeen.Add(1)
+		s.retransmits.Add(int64(n))
+		if o.OnRetransmit != nil {
+			o.OnRetransmit(n)
 		}
-	}
+		x.post(missing, false)
+		return false
+	})
 }
 
 // --- receiver ---
@@ -555,7 +451,7 @@ type LossyReceiver struct {
 	tensorID    uint64
 	lay         lossySlotLayout
 	ch          *Channel
-	source      LaneSource
+	src         LaneSource // NACK/ack lanes: ch, or cfg.Source's lease
 	staging     *MemRegion // outbound NackDesc words
 	interval    time.Duration
 	onNack      func(int)
@@ -599,9 +495,12 @@ func NewLossyReceiver(ch *Channel, mr *MemRegion, off, payloadSize int,
 	if cfg.NackInterval <= 0 {
 		cfg.NackInterval = defaultNackInterval
 	}
+	if cfg.Source == nil {
+		cfg.Source = FixedLanes{ch}
+	}
 	r := &LossyReceiver{
 		mr: mr, off: off, payloadSize: payloadSize, tensorID: tensorID,
-		lay: lossyLayout(off, payloadSize), ch: ch, source: cfg.Source,
+		lay: lossyLayout(off, payloadSize), ch: ch, src: cfg.Source,
 		staging: staging, interval: cfg.NackInterval, onNack: cfg.OnNack,
 	}
 	mr.ClearFlag(r.lay.guard)
@@ -747,16 +646,16 @@ func (r *LossyReceiver) postNack(missing, e uint64) {
 	for i := 0; i < nackDescWireSize/8; i++ {
 		r.staging.StoreWord(8*i, binary.LittleEndian.Uint64(b[8*i:]))
 	}
-	ch, release, err := laneFor(r.source, r.ch.Remote(), r.ch)
+	lanes, release, err := r.src.AcquireLanes(r.ch.Remote())
 	if err != nil {
 		r.inflight.Store(false)
 		r.renack.Store(true)
 		return
 	}
-	words := nackDescWireSize / 8
-	scratch := r.senderScratch
 	acked := missing == 0
-	join := newStripeJoin(words, func(err error) {
+	words := wordBatch(lanes[0], r.staging, 0, r.senderScratch.Region, r.senderScratch.Off,
+		nackDescWireSize/8)
+	words.start(func(err error) {
 		if err == nil && acked {
 			r.needAck.CompareAndSwap(e, 0)
 		}
@@ -774,19 +673,6 @@ func (r *LossyReceiver) postNack(missing, e uint64) {
 			go r.pumpAck()
 		}
 	})
-	reqs := make([]MemcpyReq, words)
-	for i := range reqs {
-		reqs[i] = MemcpyReq{
-			LocalOff: 8 * i, Local: r.staging,
-			RemoteOff: scratch.Off + 8*i, Remote: scratch.Region,
-			Size: FlagWordSize, Dir: OpWrite, CB: join.chunkCB(i),
-		}
-	}
-	if err := ch.MemcpyBatch(reqs); err != nil {
-		for _, q := range reqs {
-			q.CB(err)
-		}
-	}
 }
 
 // Payload returns the slot's payload bytes; valid after Poll returned true.
@@ -811,5 +697,5 @@ func (r *LossyReceiver) Consume() {
 // Wait blocks until a complete tensor arrived (Poll true) or the opts
 // deadline expires, like StaticReceiver.Wait.
 func (r *LossyReceiver) Wait(opts TransferOpts) error {
-	return waitCond(r.mr.dev, opts, "lossy recv", r.Poll)
+	return waitCond(r.mr.dev, opts, opts.deadline(), "lossy recv", r.Poll)
 }

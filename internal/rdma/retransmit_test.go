@@ -339,15 +339,7 @@ func TestLossyStaleChunkDiscarded(t *testing.T) {
 	for i := range send.Buffer() {
 		send.Buffer()[i] = 0x99
 	}
-	chunks := send.chunkSet(4)
-	err := send.ch.postTaggedChunks(send.mr, send.desc.Region, send.lay, []taggedReq{{
-		localOff: send.off + chunks[0].Off, remoteOff: send.desc.Off + chunks[0].Off,
-		size: chunks[0].Size,
-		tag:  ChunkTag{TensorID: testTensorID, Seq: 0, Epoch: 1},
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	send.chunks(FixedLanes{send.ch}, 1, TransferOpts{Stripes: 4}).post(1, false) // epoch 1, chunk 0
 	deadline := time.Now().Add(2 * time.Second)
 	for {
 		mu.Lock()

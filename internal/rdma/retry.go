@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"runtime"
 	"strconv"
-	"sync"
 	"time"
 )
 
@@ -51,8 +50,8 @@ const (
 	DefaultMaxBackoff = 10 * time.Millisecond
 )
 
-// Flag waits (waitCond, the lossy ack loop) spin briefly, then park on the
-// device's landed-write signal. The park normally ends when the awaited word
+// Flag waits (waitCond, also the lossy ack wait) spin briefly, then park on
+// the device's landed-write signal. The park normally ends when the awaited word
 // lands; maxPark only bounds it, so deadline and cancel checks (and the lossy
 // receiver's NACK pacing) still run when nothing lands.
 const (
@@ -76,10 +75,10 @@ type TransferOpts struct {
 	// OnRetry, if non-nil, is invoked with the transient error before each
 	// retry (for counters).
 	OnRetry func(err error)
-	// Stripes splits large payloads across up to this many channels of the
-	// per-peer QP group (clamped to [1, MaxStripes]); 0 or 1 keeps the
-	// single-lane protocol. Striping only takes effect on senders/receivers
-	// that registered extra lanes with AddLane.
+	// Stripes splits large payloads into up to this many chunks (clamped to
+	// [1, MaxStripes]) spread over the endpoint's lanes; 0 or 1 keeps the
+	// single-lane protocol. Striping only takes effect on endpoints with
+	// more than one lane (AddLane, or a lease of Device.LaneCount lanes).
 	Stripes int
 	// CoalesceThreshold batches transfers smaller than this many bytes to
 	// the same peer into one coalesced slot (see CoalescedSender); 0
@@ -111,12 +110,9 @@ type TransferOpts struct {
 	Canceled func() bool
 }
 
-// observeComplete fires opts.OnComplete on a successful transfer.
-func observeComplete(o TransferOpts, bytes int, start time.Time, err error) error {
-	if err == nil && o.OnComplete != nil {
-		o.OnComplete(bytes, time.Since(start))
-	}
-	return err
+// deadline is the absolute deadline of an operation starting now.
+func (o TransferOpts) deadline() time.Time {
+	return time.Now().Add(o.withDefaults().Deadline)
 }
 
 func (o TransferOpts) withDefaults() TransferOpts {
@@ -141,90 +137,12 @@ func (o TransferOpts) withDefaults() TransferOpts {
 	return o
 }
 
-// opLabel names a blocking operation in retryLoop's errors. It is kept as
-// parts and formatted only on the failure path, so a transfer that succeeds
-// builds no label string.
-type opLabel struct {
-	op     string
-	bytes  int // payload size; negative omits it
-	remote string
-}
-
-func (l opLabel) String() string {
-	if l.bytes < 0 {
-		return l.op + " to " + l.remote
-	}
-	return l.op + " " + strconv.Itoa(l.bytes) + "B to " + l.remote
-}
-
-// retryLoop runs attempt until it succeeds, fails fatally, is canceled, or
-// the deadline or retry budget is exhausted (typed ErrTimeout wrapping the
-// last error). Cancellation is checked before every attempt — including the
-// first — so an already-aborted caller never posts a write at all.
-func retryLoop(opts TransferOpts, what opLabel, attempt func() error) error {
-	o := opts.withDefaults()
-	deadline := time.Now().Add(o.Deadline)
-	backoff := o.Backoff
-	busyBackoff := o.Backoff
-	for tries := 0; ; {
-		if o.Canceled != nil && o.Canceled() {
-			return fmt.Errorf("rdma: %s: %w after %d attempts", what, ErrCanceled, tries)
-		}
-		err := attempt()
-		if err == nil {
-			return nil
-		}
-		if !Retryable(err) {
-			return err
-		}
-		if errors.Is(err, ErrQPBusy) {
-			// Mux-slot contention: every QP slot is pinned by another live
-			// attempt. That is scheduling pressure, not a fabric fault, so
-			// it waits on its own backoff curve bounded by the deadline
-			// alone — at 64 tasks a stretch of busy slots must not eat the
-			// MaxRetries budget a real drop needs later.
-			if !time.Now().Add(busyBackoff).Before(deadline) {
-				return fmt.Errorf("rdma: %s: qp slots busy past deadline: %w (last: %w)",
-					what, ErrTimeout, err)
-			}
-			if o.OnRetry != nil {
-				o.OnRetry(err)
-			}
-			sleep(busyBackoff)
-			busyBackoff *= 2
-			if busyBackoff > o.MaxBackoff {
-				busyBackoff = o.MaxBackoff
-			}
-			continue
-		}
-		if tries >= o.MaxRetries || !time.Now().Add(backoff).Before(deadline) {
-			return fmt.Errorf("rdma: %s: gave up after %d attempts: %w (last: %w)",
-				what, tries+1, ErrTimeout, err)
-		}
-		tries++
-		if o.Canceled != nil && o.Canceled() {
-			return fmt.Errorf("rdma: %s: %w after %d attempts (last: %w)",
-				what, ErrCanceled, tries, err)
-		}
-		if o.OnRetry != nil {
-			o.OnRetry(err)
-		}
-		sleep(backoff)
-		backoff *= 2
-		if backoff > o.MaxBackoff {
-			backoff = o.MaxBackoff
-		}
-	}
-}
-
 // waitCond polls cond until it reports true, the caller cancels, or the
-// deadline expires. It spins briefly, then parks on dev's landed-write
+// deadline passes. It spins briefly, then parks on dev's landed-write
 // signal between checks, so a long wait burns no core and still wakes as
 // soon as the peer's write lands. The sequence is read before cond, so a
 // write landing between the check and the park is never missed.
-func waitCond(dev *Device, opts TransferOpts, what string, cond func() bool) error {
-	o := opts.withDefaults()
-	deadline := time.Now().Add(o.Deadline)
+func waitCond(dev *Device, o TransferOpts, deadline time.Time, what string, cond func() bool) error {
 	for spins := 0; ; spins++ {
 		seq := dev.LandedSeq()
 		if cond() {
@@ -238,25 +156,10 @@ func waitCond(dev *Device, opts TransferOpts, what string, cond func() bool) err
 			return fmt.Errorf("rdma: %s: %w", what, ErrCanceled)
 		}
 		if time.Now().After(deadline) {
-			return fmt.Errorf("rdma: %s: no progress after %v: %w", what, o.Deadline, ErrTimeout)
+			return fmt.Errorf("rdma: %s: no progress by the deadline: %w", what, ErrTimeout)
 		}
 		dev.WaitLanded(seq, maxPark)
 	}
-}
-
-// memcpyAttempt is one blocking Memcpy, tolerant of duplicated completions.
-func (c *Channel) memcpyAttempt(localOff int, local *MemRegion, remoteOff int, remote RemoteRegion,
-	size int, dir Op) error {
-	done := make(chan error, 1)
-	if err := c.Memcpy(localOff, local, remoteOff, remote, size, dir, func(err error) {
-		select {
-		case done <- err:
-		default:
-		}
-	}); err != nil {
-		return err
-	}
-	return <-done
 }
 
 // MemcpyRetry is a blocking Memcpy with bounded retry: transient failures
@@ -265,9 +168,10 @@ func (c *Channel) memcpyAttempt(localOff int, local *MemRegion, remoteOff int, r
 // protocols in this package re-send identical bytes.
 func (c *Channel) MemcpyRetry(localOff int, local *MemRegion, remoteOff int, remote RemoteRegion,
 	size int, dir Op, opts TransferOpts) error {
-	return retryLoop(opts, opLabel{dir.String(), size, c.remote}, func() error {
-		return c.memcpyAttempt(localOff, local, remoteOff, remote, size, dir)
-	})
+	return retryLoop(opts, opLabel{dir.String(), size, c.remote}, nil,
+		func([]*Channel, time.Time) error {
+			return c.MemcpySync(localOff, local, remoteOff, remote, size, dir)
+		})
 }
 
 // CallRetry is Call with bounded retry: RPC timeouts and transient send
@@ -281,11 +185,12 @@ func (c *Channel) CallRetry(method string, req []byte, opts TransferOpts) ([]byt
 		perCall = o.Deadline
 	}
 	var resp []byte
-	err := retryLoop(o, opLabel{"rpc " + strconv.Quote(method), -1, c.remote}, func() error {
-		var err error
-		resp, err = c.Call(method, req, perCall)
-		return err
-	})
+	err := retryLoop(o, opLabel{"rpc " + strconv.Quote(method), -1, c.remote}, nil,
+		func([]*Channel, time.Time) error {
+			var err error
+			resp, err = c.Call(method, req, perCall)
+			return err
+		})
 	return resp, err
 }
 
@@ -293,61 +198,34 @@ func (c *Channel) CallRetry(method string, req []byte, opts TransferOpts) ([]byt
 
 // SendRetry transfers the staging buffer like Send, but blocks until the
 // write completed, retrying transient failures within the opts budget; with
-// opts.Stripes > 1 and registered lanes the payload goes out striped (see
+// opts.Stripes > 1 and several lanes the payload goes out striped (see
 // SendStriped). The retry is safe either way: a failed attempt never made
-// the flag visible (single-lane faults strike before memory writes; a
-// striped attempt only writes the flag after every stripe completed), and a
-// re-send writes the same bytes.
+// the flag visible (the engine writes the flag only after every chunk
+// landed), and a re-send writes the same bytes.
 func (s *StaticSender) SendRetry(opts TransferOpts) error {
 	return s.sendRetryFrom(nil, opts)
 }
 
 // SendRetryFrom is SendRetry for a payload that lives outside registered
 // memory: instead of staging all the bytes up front (SendFrom) and only then
-// posting the first write, each attempt copies the payload into staging lane
-// by lane, flushing every lane's chunks as soon as they are staged — so lane
-// L's writes fly while lane L+1's bytes are still being copied (sender-side
+// posting the first write, each attempt copies the payload into staging in
+// rounds of one chunk per lane, posting each round as soon as it is staged —
+// so one round's writes fly while the next round is copied (sender-side
 // copy/transmit pipelining). A retry re-copies the same bytes, which is
-// safe: the completion callback fires only after every chunk of the attempt
-// completed, so no attempt's copy can overlap its own in-flight writes, and
-// a failed attempt never made the flag visible.
+// safe: an attempt ends only after every chunk it posted completed, so no
+// copy can overlap an in-flight write, and a failed attempt never made the
+// flag visible.
 func (s *StaticSender) SendRetryFrom(payload []byte, opts TransferOpts) error {
-	if len(payload) != s.desc.PayloadSize {
-		return fmt.Errorf("rdma: payload %d bytes, slot holds %d: %w",
-			len(payload), s.desc.PayloadSize, ErrBounds)
+	if err := s.checkPayload(payload); err != nil {
+		return err
 	}
 	return s.sendRetryFrom(payload, opts)
 }
 
 func (s *StaticSender) sendRetryFrom(payload []byte, opts TransferOpts) error {
 	o := opts.withDefaults()
-	start := time.Now()
-	err := retryLoop(o, opLabel{"static send", s.desc.PayloadSize, s.ch.Remote()},
-		func() error {
-			// Lanes are acquired per attempt: with a LaneSource (mux mode)
-			// the slot is pinned only while this attempt's writes are in
-			// flight and released once its completions drained, so an idle
-			// or backing-off edge holds no QP slot.
-			lanes, release, err := s.acquireLanes()
-			if err != nil {
-				return err
-			}
-			done := make(chan error, 1)
-			if err := s.sendStripedOn(lanes, payload, o.Stripes, o.OnStripe, o.OnDoorbell,
-				func(err error) {
-					select {
-					case done <- err:
-					default:
-					}
-				}); err != nil {
-				release()
-				return err
-			}
-			err = <-done
-			release()
-			return err
-		})
-	return observeComplete(o, s.desc.PayloadSize, start, err)
+	return retryLoop(o, opLabel{"static send", s.desc.PayloadSize, s.ch.Remote()}, s.src,
+		func(lanes []*Channel, _ time.Time) error { return s.plan(lanes, payload, o).run() })
 }
 
 // Wait blocks until a complete tensor has arrived (Poll returns true) or
@@ -355,7 +233,7 @@ func (s *StaticSender) sendRetryFrom(payload []byte, opts TransferOpts) error {
 // from a partitioned one, so the failure is a typed ErrTimeout; callers
 // with fabric knowledge may refine it.
 func (r *StaticReceiver) Wait(opts TransferOpts) error {
-	return waitCond(r.mr.dev, opts, "static recv flag", r.Poll)
+	return waitCond(r.mr.dev, opts, opts.deadline(), "static recv flag", r.Poll)
 }
 
 // --- Dynamic allocation ---
@@ -365,41 +243,18 @@ func (r *StaticReceiver) Wait(opts TransferOpts) error {
 // and transient transfer failures as retryable within the opts budget.
 func (s *DynSender) SendRetry(payloadMR *MemRegion, payloadOff, payloadSize int,
 	dtype uint32, dims []uint64, opts TransferOpts) error {
-	start := time.Now()
-	err := retryLoop(opts, opLabel{"dyn send", payloadSize, s.ch.Remote()},
-		func() error {
-			ch, release, lerr := laneFor(s.source, s.ch.Remote(), s.ch)
-			if lerr != nil {
-				return lerr
-			}
-			defer release()
-			done := make(chan error, 1)
-			if err := s.sendOn(ch, payloadMR, payloadOff, payloadSize, dtype, dims, func(err error) {
-				select {
-				case done <- err:
-				default:
-				}
-			}); err != nil {
-				return err
-			}
-			err := <-done
-			if err != nil {
-				// The failed write never touched the receiver (faults strike
-				// before memory writes), so no ack will ever arrive for it:
-				// re-arm the ack flag Send cleared, or every subsequent
-				// attempt would see ErrBusy forever.
-				s.mr.SetFlagLocal(s.off + dynMetaAckOff)
-			}
-			return err
+	return retryLoop(opts, opLabel{"dyn send", payloadSize, s.ch.Remote()}, s.src,
+		func(lanes []*Channel, _ time.Time) error {
+			x, err := s.plan(lanes, payloadMR, payloadOff, payloadSize, dtype, dims)
+			return runRearming(x, err, s.mr, s.off+dynMetaAckOff)
 		})
-	return observeComplete(opts, payloadSize, start, err)
 }
 
 // WaitMeta blocks until the metadata flag is set and returns the decoded
 // metadata, or fails with a typed ErrTimeout at the opts deadline.
 func (r *DynReceiver) WaitMeta(opts TransferOpts) (DynMeta, error) {
 	var meta DynMeta
-	err := waitCond(r.mr.dev, opts, "dyn metadata flag", func() bool {
+	err := waitCond(r.mr.dev, opts, opts.deadline(), "dyn metadata flag", func() bool {
 		m, ok := r.Poll()
 		if ok {
 			meta = m
@@ -409,69 +264,17 @@ func (r *DynReceiver) WaitMeta(opts TransferOpts) (DynMeta, error) {
 	return meta, err
 }
 
-// FetchRetry is Fetch with bounded retry: the payload read and the reuse
-// ack are each retried within the opts budget, and the call blocks until
-// the ack write completed (unlike Fetch, which fires it and forgets).
-// With opts.Stripes > 1 and registered lanes, the payload read is split
-// into chunks pulled concurrently over distinct channels; the ack — the
-// dyn protocol's analogue of the tail flag — is only posted after every
-// stripe's read completed, so the sender can never observe "reusable"
-// while part of the payload is still in flight.
-// All pieces are idempotent: re-reading pulls the same payload (the sender
-// cannot reuse the source buffer before the ack), and the ack is a
-// constant one-word write.
+// FetchRetry is Fetch with bounded retry. With opts.Stripes > 1 and several
+// lanes the payload is pulled in chunks over distinct channels. A failed
+// attempt re-reads and re-acks as a whole; both are idempotent (the sender
+// cannot reuse the source buffer before the ack, and the ack is a constant
+// one-word write), and every attempt draws on the one opts deadline.
 func (r *DynReceiver) FetchRetry(meta DynMeta, senderScratch DynSlotDesc,
 	dst *MemRegion, dstOff int, opts TransferOpts) error {
 	o := opts.withDefaults()
-	start := time.Now()
 	r.mr.ClearFlag(r.off + dynMetaFlagOff)
-	size := int(meta.PayloadSize)
-	// With a LaneSource the lease spans the whole fetch (reads + ack): the
-	// per-chunk MemcpyRetry loops below already recover chunk-granular, and
-	// re-leasing between chunks of one tensor would only churn the pool.
-	lanes := r.lanes
-	release := func() {}
-	if r.source != nil {
-		var err error
-		lanes, release, err = r.source.AcquireLanes(r.sender)
-		if err != nil {
-			return fmt.Errorf("rdma: dyn fetch lanes: %w", err)
-		}
-	}
-	defer release()
-	chunks := StripeDesc{PayloadSize: meta.PayloadSize, Stripes: uint32(o.Stripes)}.Chunks()
-	if len(chunks) <= 1 || len(lanes) <= 1 {
-		if o.OnStripe != nil && size > 0 {
-			o.OnStripe(0, size)
-		}
-		if err := lanes[0].MemcpyRetry(dstOff, dst, int(meta.SrcOff), meta.Src, size, OpRead, o); err != nil {
-			return fmt.Errorf("rdma: dyn fetch read: %w", err)
-		}
-	} else {
-		var wg sync.WaitGroup
-		errs := make([]error, len(chunks))
-		for i, chk := range chunks {
-			lane := i % len(lanes)
-			if o.OnStripe != nil {
-				o.OnStripe(lane, chk.Size)
-			}
-			wg.Add(1)
-			go func(i int, chk StripeChunk, ch *Channel) {
-				defer wg.Done()
-				errs[i] = ch.MemcpyRetry(dstOff+chk.Off, dst, int(meta.SrcOff)+chk.Off,
-					meta.Src, chk.Size, OpRead, o)
-			}(i, chk, lanes[lane])
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return fmt.Errorf("rdma: dyn fetch striped read: %w", err)
-			}
-		}
-	}
-	if err := lanes[0].MemcpyRetry(0, r.ackSrc, senderScratch.Off+dynMetaAckOff,
-		senderScratch.Region, FlagWordSize, OpWrite, o); err != nil {
-		return fmt.Errorf("rdma: dyn fetch ack: %w", err)
-	}
-	return observeComplete(o, size, start, nil)
+	return retryLoop(o, opLabel{"dyn fetch", int(meta.PayloadSize), r.sender}, r.src,
+		func(lanes []*Channel, _ time.Time) error {
+			return r.fetch(lanes, meta, senderScratch, dst, dstOff, o).run()
+		})
 }

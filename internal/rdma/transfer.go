@@ -120,27 +120,11 @@ func (r *StaticReceiver) Consume() { r.mr.ClearFlag(r.flagOff()) }
 // staging buffer's tail and is transferred together with the payload in one
 // ascending-order write.
 type StaticSender struct {
-	ch    *Channel
-	mr    *MemRegion
-	off   int
-	desc  StaticSlotDesc
-	lanes []*Channel // channels for striped sends; lanes[0] == ch
-	// source, when set, supplies lanes per attempt instead of the cached
-	// ones (QP multiplexing: the edge pins a slot only while sending).
-	source LaneSource
-}
-
-// SetLaneSource routes this sender's blocking sends through a per-attempt
-// lane source (see LaneSource). Cached lanes remain the fallback for the
-// non-blocking Send/SendStriped paths.
-func (s *StaticSender) SetLaneSource(src LaneSource) { s.source = src }
-
-// acquireLanes resolves the lanes for one attempt.
-func (s *StaticSender) acquireLanes() ([]*Channel, func(), error) {
-	if s.source == nil {
-		return s.lanes, func() {}, nil
-	}
-	return s.source.AcquireLanes(s.ch.Remote())
+	ch   *Channel
+	mr   *MemRegion
+	off  int
+	desc StaticSlotDesc
+	laneSet
 }
 
 // NewStaticSender claims [off, off+StaticSlotSize(desc.PayloadSize)) of the
@@ -156,7 +140,7 @@ func NewStaticSender(ch *Channel, mr *MemRegion, off int, desc StaticSlotDesc) (
 		return nil, fmt.Errorf("rdma: slot on %s but channel to %s: %w",
 			desc.Region.Endpoint, ch.Remote(), ErrBadConfig)
 	}
-	return &StaticSender{ch: ch, mr: mr, off: off, desc: desc, lanes: []*Channel{ch}}, nil
+	return &StaticSender{ch: ch, mr: mr, off: off, desc: desc, laneSet: laneSet{FixedLanes{ch}}}, nil
 }
 
 // Buffer returns the sender-side staging payload bytes. When graph analysis
@@ -169,26 +153,37 @@ func (s *StaticSender) Buffer() []byte {
 // Send transfers the staging buffer (payload + set flag) to the remote slot
 // with a single one-sided write. cb fires on a CQ poller when the write
 // completes locally.
-func (s *StaticSender) Send(cb func(error)) error { return s.sendOn(s.ch, cb) }
+func (s *StaticSender) Send(cb func(error)) error { return s.SendStriped(1, nil, cb) }
 
-// sendOn is Send over an explicit channel (per-attempt lane acquisition).
-func (s *StaticSender) sendOn(ch *Channel, cb func(error)) error {
-	flagOff := s.off + alignUp(s.desc.PayloadSize)
-	s.mr.SetFlagLocal(flagOff)
-	size := StaticSlotSize(s.desc.PayloadSize)
-	return ch.Memcpy(s.off, s.mr, s.desc.Off, s.desc.Region, size, OpWrite, cb)
+// plan is one static send as an engine transfer: the payload chunks, then
+// the slot's tail flag as the commit word — fused into a single ascending
+// payload+flag write when the plan has one chunk. payload, when non-nil, is
+// staged chunk by chunk as the chunks are posted.
+func (s *StaticSender) plan(lanes []*Channel, payload []byte, o TransferOpts) *xfer {
+	s.mr.SetFlagLocal(s.off + alignUp(s.desc.PayloadSize))
+	x := slotWrite(lanes, s.mr, s.off, s.desc.Region, s.desc.Off, s.desc.PayloadSize, o.Stripes)
+	x.stage, x.onStripe, x.onDoorbell = payload, o.OnStripe, o.OnDoorbell
+	return x
 }
 
 // SendFrom copies payload into the staging buffer first and then performs
 // Send: the RDMA.cp path of §5.1, used when graph analysis is disabled and
 // the source tensor is not RDMA-accessible.
 func (s *StaticSender) SendFrom(payload []byte, cb func(error)) error {
+	if err := s.checkPayload(payload); err != nil {
+		return err
+	}
+	copy(s.Buffer(), payload)
+	return s.Send(cb)
+}
+
+// checkPayload rejects an unstaged payload that does not fill the slot.
+func (s *StaticSender) checkPayload(payload []byte) error {
 	if len(payload) != s.desc.PayloadSize {
 		return fmt.Errorf("rdma: payload %d bytes, slot holds %d: %w",
 			len(payload), s.desc.PayloadSize, ErrBounds)
 	}
-	copy(s.Buffer(), payload)
-	return s.Send(cb)
+	return nil
 }
 
 // --- Dynamic allocation protocol ---
@@ -256,18 +251,13 @@ func UnmarshalDynSlotDesc(buf []byte) (DynSlotDesc, error) {
 
 // DynReceiver owns a preallocated metadata slot for one dynamic edge.
 type DynReceiver struct {
-	mr     *MemRegion
-	off    int
-	sender string // the edge's fixed sender endpoint
-	ch     *Channel
-	ackSrc *MemRegion // one word containing FlagSet, source of ack writes
-	lanes  []*Channel // channels for striped fetches; lanes[0] == ch
-	// source, when set, supplies FetchRetry's lanes per call (QP mux mode).
-	source LaneSource
+	mr      *MemRegion
+	off     int
+	sender  string // the edge's fixed sender endpoint
+	ch      *Channel
+	ackSrc  *MemRegion // one word containing FlagSet, source of ack writes
+	laneSet            // FetchRetry's lanes
 }
-
-// SetLaneSource routes FetchRetry through a per-call lane source.
-func (r *DynReceiver) SetLaneSource(src LaneSource) { r.source = src }
 
 // NewDynReceiver claims DynMetaSize bytes at off in mr as the metadata slot
 // for an edge whose sender is reached via ch.
@@ -284,7 +274,7 @@ func NewDynReceiver(ch *Channel, mr *MemRegion, off int) (*DynReceiver, error) {
 	}
 	ackSrc.SetFlagLocal(0)
 	r := &DynReceiver{mr: mr, off: off, sender: ch.Remote(), ch: ch, ackSrc: ackSrc,
-		lanes: []*Channel{ch}}
+		laneSet: laneSet{FixedLanes{ch}}}
 	mr.ClearFlag(off + dynMetaFlagOff)
 	return r, nil
 }
@@ -346,21 +336,27 @@ func DecodeDynMeta(b []byte, sender string) (DynMeta, error) {
 
 // Fetch clears the metadata flag, pulls the payload into
 // dst[dstOff:dstOff+meta.PayloadSize) with a one-sided read, and then posts
-// the reuse ack into the sender's scratch block. cb fires after the read
-// completes locally (the ack write is issued but not awaited, matching the
-// one-way nature of the protocol).
+// the reuse ack into the sender's scratch block. cb fires once the ack write
+// completed (or the read failed).
 func (r *DynReceiver) Fetch(meta DynMeta, senderScratch DynSlotDesc, dst *MemRegion, dstOff int, cb func(error)) error {
 	r.mr.ClearFlag(r.off + dynMetaFlagOff)
-	size := int(meta.PayloadSize)
-	return r.ch.Memcpy(dstOff, dst, int(meta.SrcOff), meta.Src, size, OpRead, func(err error) {
-		if err != nil {
-			cb(err)
-			return
-		}
-		ackErr := r.ch.Memcpy(0, r.ackSrc, senderScratch.Off+dynMetaAckOff,
-			senderScratch.Region, FlagWordSize, OpWrite, nil)
-		cb(ackErr)
-	})
+	r.fetch(FixedLanes{r.ch}, meta, senderScratch, dst, dstOff, TransferOpts{}).start(cb)
+	return nil
+}
+
+// fetch is one Dyn fetch as an engine read: the payload chunks over lanes,
+// then the reuse ack — the Dyn protocol's commit word — so the sender can
+// never observe "reusable" while part of the payload is still in flight.
+func (r *DynReceiver) fetch(lanes []*Channel, meta DynMeta, senderScratch DynSlotDesc,
+	dst *MemRegion, dstOff int, o TransferOpts) *xfer {
+	x := &xfer{
+		lanes: lanes, dir: OpRead,
+		local: dst, localOff: dstOff, remote: meta.Src, remoteOff: int(meta.SrcOff),
+		commit: MemcpyReq{Local: r.ackSrc, Remote: senderScratch.Region,
+			RemoteOff: senderScratch.Off + dynMetaAckOff, Size: FlagWordSize},
+		onStripe: o.OnStripe, onDoorbell: o.OnDoorbell,
+	}
+	return x.cut(int(meta.PayloadSize), o.Stripes)
 }
 
 // DynSender owns the sender-side scratch block for one dynamic edge: the
@@ -370,15 +366,11 @@ type DynSender struct {
 	mr   *MemRegion
 	off  int
 	meta DynSlotDesc // receiver's metadata slot
-	// source, when set, supplies SendRetry's channel per attempt (QP mux).
-	source LaneSource
+	laneSet
 	// started is atomic: the scheduler polls PollReusable from its worker
 	// goroutine while Send runs on the edge's transfer goroutine.
 	started atomic.Bool
 }
-
-// SetLaneSource routes SendRetry through a per-attempt lane source.
-func (s *DynSender) SetLaneSource(src LaneSource) { s.source = src }
 
 // NewDynSender claims DynMetaSize bytes at off in mr as scratch for sends to
 // the given receiver metadata slot.
@@ -393,7 +385,7 @@ func NewDynSender(ch *Channel, mr *MemRegion, off int, meta DynSlotDesc) (*DynSe
 		return nil, fmt.Errorf("rdma: meta slot on %s but channel to %s: %w",
 			meta.Region.Endpoint, ch.Remote(), ErrBadConfig)
 	}
-	s := &DynSender{ch: ch, mr: mr, off: off, meta: meta}
+	s := &DynSender{ch: ch, mr: mr, off: off, meta: meta, laneSet: laneSet{FixedLanes{ch}}}
 	mr.ClearFlag(off + dynMetaAckOff)
 	return s, nil
 }
@@ -419,20 +411,27 @@ func (s *DynSender) PollReusable() bool {
 // Returns ErrBusy if the previous transfer has not been acked yet.
 func (s *DynSender) Send(payloadMR *MemRegion, payloadOff, payloadSize int,
 	dtype uint32, dims []uint64, cb func(error)) error {
-	return s.sendOn(s.ch, payloadMR, payloadOff, payloadSize, dtype, dims, cb)
-}
-
-// sendOn is Send over an explicit channel (per-attempt lane acquisition).
-func (s *DynSender) sendOn(ch *Channel, payloadMR *MemRegion, payloadOff, payloadSize int,
-	dtype uint32, dims []uint64, cb func(error)) error {
-	if len(dims) > MaxDims {
-		return fmt.Errorf("rdma: rank %d exceeds MaxDims %d: %w", len(dims), MaxDims, ErrBadConfig)
-	}
-	if _, err := payloadMR.Slice(payloadOff, payloadSize); err != nil {
+	x, err := s.plan([]*Channel{s.ch}, payloadMR, payloadOff, payloadSize, dtype, dims)
+	if err != nil {
 		return err
 	}
+	x.start(cb)
+	return nil
+}
+
+// plan stages the metadata image and returns its write as an engine
+// transfer: metadata and flag (but not the ack word) in one ascending
+// write, the flag as the fused commit word.
+func (s *DynSender) plan(lanes []*Channel, payloadMR *MemRegion, payloadOff, payloadSize int,
+	dtype uint32, dims []uint64) (*xfer, error) {
+	if len(dims) > MaxDims {
+		return nil, fmt.Errorf("rdma: rank %d exceeds MaxDims %d: %w", len(dims), MaxDims, ErrBadConfig)
+	}
+	if _, err := payloadMR.Slice(payloadOff, payloadSize); err != nil {
+		return nil, err
+	}
 	if !s.PollReusable() {
-		return ErrBusy
+		return nil, ErrBusy
 	}
 	s.started.Store(true)
 	s.mr.ClearFlag(s.off + dynMetaAckOff)
@@ -453,8 +452,5 @@ func (s *DynSender) sendOn(ch *Channel, payloadMR *MemRegion, payloadOff, payloa
 	binary.LittleEndian.PutUint64(b[88:], uint64(payloadOff))
 	binary.LittleEndian.PutUint64(b[96:], uint64(payloadSize))
 	s.mr.SetFlagLocal(s.off + dynMetaFlagOff)
-
-	// Write metadata + flag (but not the ack word) in one ascending write.
-	return ch.Memcpy(s.off, s.mr, s.meta.Off, s.meta.Region,
-		dynMetaFlagOff+FlagWordSize, OpWrite, cb)
+	return slotWrite(lanes, s.mr, s.off, s.meta.Region, s.meta.Off, dynMetaFlagOff, 1), nil
 }

@@ -19,11 +19,6 @@ var (
 	ErrBankHeld = errors.New("serve: target bank not released in time")
 )
 
-// defaultChunkBytes splits a bank payload into stripe chunks; one chunk is
-// one work request, chunks round-robin the publisher's QP lanes and each
-// lane's chunks post under one doorbell.
-const defaultChunkBytes = 128 << 10
-
 // ReplicaTarget is everything the publisher needs to reach one replica's
 // weight banks: the fabric endpoint and the two bank regions. It is
 // produced by Replica.Target and crosses the control plane (an RPC during
@@ -41,11 +36,6 @@ type PublisherConfig struct {
 	Vars *exec.VarStore
 	// Layout is the shared weight layout (LayoutFor over the same set).
 	Layout *WeightLayout
-	// Lanes stripes each bank write across this many QP lanes (default 1,
-	// clamped to the device's QPsPerPeer).
-	Lanes int
-	// ChunkBytes is the stripe chunk size (default 128 KiB).
-	ChunkBytes int
 	// PublishTimeout bounds one Publish call end to end: release-ack wait
 	// plus the writes themselves (default 5s).
 	PublishTimeout time.Duration
@@ -56,9 +46,11 @@ type PublisherConfig struct {
 
 // WeightPublisher pushes weight versions to a replica fleet. One Publish
 // call snapshots the variable store once into registered scratch, then
-// writes the blob to every replica's target bank concurrently — payload
-// chunks first, the 8-byte version word last, exactly the training path's
-// flag-after-payload discipline.
+// writes the blob to every replica's target bank concurrently as one
+// transfer-engine write (rdma.WriteRetry) striped over every QP the device
+// has to the replica — payload chunks first, the 8-byte version word last
+// as the commit word, exactly the training path's flag-after-payload
+// discipline.
 type WeightPublisher struct {
 	cfg     PublisherConfig
 	scratch *rdma.MemRegion // staged snapshot + version word
@@ -72,25 +64,19 @@ type WeightPublisher struct {
 	// — the one staleness is measured against — only advances on success.
 	staged    uint64
 	committed uint64
-
-	// crashBeforeCommit, when set (tests only), runs after a replica's
-	// payload chunks complete but before its version word is written — the
-	// trainer-crash-mid-publication window.
-	crashBeforeCommit func(task string)
 }
 
 // replicaState is the publisher's view of one replica.
 type replicaState struct {
 	target ReplicaTarget
+	lanes  rdma.FixedLanes // the publisher's QPs to the replica
 	// ack is the local region the replica's release writes land in: word b
 	// holds the highest version released from bank b (0 before the bank's
 	// first release).
 	ack *rdma.MemRegion
-	// published is the last version this replica received (0 = none);
-	// written[b] the version bank b currently holds in this incarnation
+	// written[b] is the version bank b currently holds in this incarnation
 	// (0 = never filled, so the first write into it needs no release).
-	published uint64
-	written   [2]uint64
+	written [2]uint64
 }
 
 // NewWeightPublisher validates the config and registers the staging
@@ -98,12 +84,6 @@ type replicaState struct {
 func NewWeightPublisher(cfg PublisherConfig) (*WeightPublisher, error) {
 	if cfg.Dev == nil || cfg.Vars == nil || cfg.Layout == nil {
 		return nil, fmt.Errorf("serve: publisher needs Dev, Vars, Layout: %w", rdma.ErrBadConfig)
-	}
-	if cfg.Lanes < 1 {
-		cfg.Lanes = 1
-	}
-	if cfg.ChunkBytes <= 0 {
-		cfg.ChunkBytes = defaultChunkBytes
 	}
 	if cfg.PublishTimeout <= 0 {
 		cfg.PublishTimeout = 5 * time.Second
@@ -145,7 +125,7 @@ func (p *WeightPublisher) AckRegion(task string) (rdma.RemoteRegion, error) {
 
 // AddReplica registers (or, after a restart, replaces) a replica target.
 // A replaced target starts from empty banks: both release acks reset to
-// the free sentinel and its published version to 0.
+// the free sentinel.
 func (p *WeightPublisher) AddReplica(t ReplicaTarget) error {
 	if t.Task == "" {
 		return fmt.Errorf("serve: replica target without task: %w", rdma.ErrBadConfig)
@@ -155,6 +135,10 @@ func (p *WeightPublisher) AddReplica(t ReplicaTarget) error {
 			return fmt.Errorf("serve: replica %s bank %d is %dB, need %dB: %w",
 				t.Task, b, bank.Size, p.cfg.Layout.BankBytes(), rdma.ErrBadConfig)
 		}
+	}
+	lanes, err := p.cfg.Dev.Lanes(t.Task, 0, rdma.MaxStripes)
+	if err != nil {
+		return fmt.Errorf("serve: lanes to %s: %w", t.Task, err)
 	}
 	ack, err := p.cfg.Dev.AllocateMemRegion(2 * versionWordSize)
 	if err != nil {
@@ -172,7 +156,7 @@ func (p *WeightPublisher) AddReplica(t ReplicaTarget) error {
 		r.ack = ack
 	}
 	r.target = t
-	r.published = 0
+	r.lanes = lanes
 	r.written = [2]uint64{}
 	r.ack.StoreWord(0, 0)
 	r.ack.StoreWord(versionWordSize, 0)
@@ -280,65 +264,23 @@ func (p *WeightPublisher) replicaListLocked() []*replicaState {
 }
 
 // writeVersion performs one replica's publication of version v: wait for
-// the target bank's release ack, stripe the payload across lanes (one
-// doorbell batch per lane), then write the version word last.
+// the target bank's release ack, then write the bank — payload chunks over
+// the replica's lanes, joined, then the version word — retrying transient
+// faults as a whole within what is left of the publish deadline.
 func (p *WeightPublisher) writeVersion(r *replicaState, v uint64) error {
 	deadline := time.Now().Add(p.cfg.PublishTimeout)
 	bank := int(v % 2)
 	if err := p.waitBankFree(r, bank, deadline); err != nil {
 		return err
 	}
-
-	lanes, err := p.lanesFor(r.target.Task)
-	if err != nil {
-		return err
+	opts := rdma.TransferOpts{
+		Deadline: max(time.Until(deadline), 1), // a spent budget still gets one attempt
+		Stripes:  len(r.lanes),
 	}
-
-	// Payload chunks round-robin the lanes; each lane's chunks enter the
-	// send queue under one doorbell. Completions join before the version
-	// word is posted — the flag-after-payload invariant.
-	payload := p.cfg.Layout.Payload
-	reqs := make([][]rdma.MemcpyReq, len(lanes))
-	nchunks := 0
-	done := make(chan error, payload/p.cfg.ChunkBytes+2)
-	for off := 0; off < payload; off += p.cfg.ChunkBytes {
-		n := p.cfg.ChunkBytes
-		if off+n > payload {
-			n = payload - off
-		}
-		lane := nchunks % len(lanes)
-		reqs[lane] = append(reqs[lane], rdma.MemcpyReq{
-			LocalOff: off, Local: p.scratch,
-			RemoteOff: off, Remote: r.target.Banks[bank],
-			Size: n, Dir: rdma.OpWrite,
-			CB: func(err error) { done <- err },
-		})
-		nchunks++
-	}
-	for lane, batch := range reqs {
-		if len(batch) == 0 {
-			continue
-		}
-		if err := lanes[lane].MemcpyBatch(batch); err != nil {
-			return err
-		}
-	}
-	for i := 0; i < nchunks; i++ {
-		if err := <-done; err != nil {
-			return err
-		}
-	}
-
-	// All payload chunks are in remote memory; commit the version word.
-	if p.crashBeforeCommit != nil {
-		p.crashBeforeCommit(r.target.Task)
-	}
-	off := p.cfg.Layout.VersionOff()
-	if err := lanes[0].MemcpySync(off, p.scratch, off, r.target.Banks[bank], versionWordSize, rdma.OpWrite); err != nil {
+	if err := rdma.WriteRetry(r.lanes, p.scratch, r.target.Banks[bank], p.cfg.Layout.Payload, opts); err != nil {
 		return err
 	}
 	p.mu.Lock()
-	r.published = v
 	r.written[bank] = v
 	p.mu.Unlock()
 	return nil
@@ -377,19 +319,3 @@ func (p *WeightPublisher) waitBankFree(r *replicaState, bank int, deadline time.
 // maxAckPark bounds one park of waitBankFree; the replica's ack write
 // normally ends it first.
 const maxAckPark = 20 * time.Microsecond
-
-// lanesFor resolves the publisher's QP lanes to one replica.
-func (p *WeightPublisher) lanesFor(task string) ([]*rdma.Channel, error) {
-	lanes := make([]*rdma.Channel, 0, p.cfg.Lanes)
-	for i := 0; i < p.cfg.Lanes; i++ {
-		ch, err := p.cfg.Dev.GetChannel(task, i)
-		if err != nil {
-			if i > 0 && errors.Is(err, rdma.ErrBadConfig) {
-				break // device has fewer QPs per peer than requested lanes
-			}
-			return nil, err
-		}
-		lanes = append(lanes, ch)
-	}
-	return lanes, nil
-}

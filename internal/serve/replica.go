@@ -316,7 +316,9 @@ func (r *Replica) releaseBank(v uint64) {
 		return // publisher gone; it re-wires acks on readmission
 	}
 	r.ackScratch.StoreWord(0, v)
-	// Best effort: a lost ack stalls the publisher's next write into this
-	// bank until its publish deadline, never the replica's serving path.
-	_ = ch.MemcpySync(0, r.ackScratch, int(v%2)*versionWordSize, dst, versionWordSize, rdma.OpWrite)
+	// A dropped ack would stall the publisher's next write into this bank
+	// until its publish deadline, so transient faults are retried (the ack
+	// is idempotent); Close cancels the retry. Serving never waits on it.
+	_ = ch.MemcpyRetry(0, r.ackScratch, int(v%2)*versionWordSize, dst, versionWordSize, rdma.OpWrite,
+		rdma.TransferOpts{Canceled: r.stopped})
 }

@@ -78,10 +78,12 @@ type fleet struct {
 	next uint64
 }
 
+// newFleet builds the trainer side; lanes is the trainer device's QPs per
+// peer, which the publisher stripes every bank write over.
 func newFleet(t *testing.T, batch, n, lanes int) *fleet {
 	t.Helper()
 	fabric := rdma.NewFabric()
-	tdev, err := rdma.CreateDevice(fabric, rdma.Config{Endpoint: "trainer"})
+	tdev, err := rdma.CreateDevice(fabric, rdma.Config{Endpoint: "trainer", QPsPerPeer: lanes})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,8 +94,7 @@ func newFleet(t *testing.T, batch, n, lanes int) *fleet {
 	}
 	met := &metrics.Serve{}
 	pub, err := NewWeightPublisher(PublisherConfig{
-		Dev: tdev, Vars: vars, Layout: layout,
-		Lanes: lanes, ChunkBytes: 64, Metrics: met,
+		Dev: tdev, Vars: vars, Layout: layout, Metrics: met,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -194,10 +195,24 @@ func TestLayoutSnapshotViewRoundTrip(t *testing.T) {
 }
 
 func TestPublishBitIdentical(t *testing.T) {
-	f := newFleet(t, 2, 8, 2)
+	// 4 lanes over the 288-byte layout: the bank goes out as 4 payload
+	// chunks of 72 bytes, then the version word.
+	f := newFleet(t, 2, 8, 4)
 	r, _ := f.addReplica(t, "replica0")
+	var mu sync.Mutex
+	var writes []int
+	f.fabric.SetHooks(rdma.Hooks{OnTransfer: func(op rdma.Op, size int) {
+		mu.Lock()
+		writes = append(writes, size)
+		mu.Unlock()
+	}})
 	v := f.publishNext(t)
 	waitVersion(t, r, v)
+	mu.Lock()
+	if fmt.Sprint(writes[:4]) != "[72 72 72 72]" || writes[4] != versionWordSize {
+		t.Fatalf("publication writes %v, want 4 chunks of 72 bytes then the version word", writes)
+	}
+	mu.Unlock()
 
 	bank := r.banks[v%2]
 	got := bank.mr.Bytes()[:f.layout.Payload]
@@ -310,11 +325,19 @@ func TestTrainerCrashMidPublication(t *testing.T) {
 	r, _ := f.addReplica(t, "replica0")
 	waitVersion(t, r, f.publishNext(t))
 
-	f.pub.crashBeforeCommit = func(string) { f.tdev.Close() }
+	// The trainer dies as its version word is posted: that write never
+	// lands, and the device goes down with it.
+	f.fabric.SetHooks(rdma.Hooks{TransferFault: func(op rdma.Op, size int) error {
+		if op == rdma.OpWrite && size == versionWordSize {
+			return fmt.Errorf("trainer crashed before commit: %w", rdma.ErrClosed)
+		}
+		return nil
+	}})
 	setVersionWeights(t, f.vars, 2)
 	if _, err := f.pub.Publish(); err == nil {
 		t.Fatal("publish should fail when the trainer dies before commit")
 	}
+	f.tdev.Close()
 
 	// The torn bank (v2 targets bank 0) holds new payload but no version
 	// word; the replica must not swap.
@@ -340,6 +363,50 @@ func TestTrainerCrashMidPublication(t *testing.T) {
 		if got != want {
 			t.Fatalf("row[%d]=%v, want %v: replica served torn weights", i, got, want)
 		}
+	}
+}
+
+// TestPublishDrainsBeforeReturn: when one payload chunk of a bank write
+// fails, Publish must still wait for its sibling chunks — they read the
+// publisher's scratch, which the next Publish restages. A fatal fault on
+// one chunk and a delayed sibling: no chunk completion may fire after
+// Publish returned.
+func TestPublishDrainsBeforeReturn(t *testing.T) {
+	// n=6 gives a 168-byte payload: over 2 lanes, chunks of 88 and 80 bytes.
+	f := newFleet(t, 2, 6, 2)
+	r, _ := f.addReplica(t, "replica0")
+	waitVersion(t, r, f.publishNext(t))
+
+	const failSize, slowSize = 88, 80
+	var completions atomic.Int64
+	f.fabric.SetHooks(rdma.Hooks{
+		TransferFault: func(op rdma.Op, size int) error {
+			if op == rdma.OpWrite && size == failSize {
+				return fmt.Errorf("injected fatal chunk fault: %w", rdma.ErrBounds)
+			}
+			return nil
+		},
+		TransferDelay: func(op rdma.Op, size int) time.Duration {
+			if op == rdma.OpWrite && size == slowSize {
+				return 30 * time.Millisecond
+			}
+			return 0
+		},
+		CompletionFault: func(op rdma.Op, size int) rdma.CompletionFault {
+			if op == rdma.OpWrite && (size == failSize || size == slowSize) {
+				completions.Add(1)
+			}
+			return rdma.CompletionFault{}
+		},
+	})
+	setVersionWeights(t, f.vars, 2)
+	if _, err := f.pub.Publish(); !errors.Is(err, rdma.ErrBounds) {
+		t.Fatalf("publish with a failed chunk: err = %v, want the chunk's fault", err)
+	}
+	atReturn := completions.Load()
+	time.Sleep(60 * time.Millisecond)
+	if late := completions.Load() - atReturn; late != 0 || atReturn != 2 {
+		t.Fatalf("%d chunk completions before Publish returned, %d after; want 2 and 0", atReturn, late)
 	}
 }
 

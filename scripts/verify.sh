@@ -51,8 +51,8 @@ go test -race -run '^TestReleaseWakesDrainWithoutTimer$' ./internal/serve/
 echo "== timer guard (exec, rdma, serve) =="
 timer_allow=(
 	'internal/rdma/sleep.go:var sleep = time.Sleep'              # retryLoop backoff and fault-injection seam
-	'internal/rdma/retry.go:sleep(busyBackoff)'                  # retryLoop backoff on busy QP slots
-	'internal/rdma/retry.go:sleep(backoff)'                      # retryLoop backoff between attempts
+	'internal/rdma/engine.go:sleep(busyBackoff)'                 # retryLoop backoff on busy QP slots
+	'internal/rdma/engine.go:sleep(backoff)'                     # retryLoop backoff between attempts
 	'internal/rdma/device.go:sleep(cf.Delay)'                    # fault injection: completion delay
 	'internal/rdma/device.go:sleep(delay)'                       # fault injection: transfer and path delay
 	'internal/rdma/landed.go:time.NewTimer(time.Hour)'           # the park's bound (pooled, Reset per park)
@@ -111,6 +111,23 @@ go test -race -run '^TestShardedPSChaosBitIdenticalUnderFaults$|^TestRecoverySha
 # staged path, and heal injected drops by re-staging the same bytes.
 echo "== pipelined stripe & doorbell batch gates (-race) =="
 go test -race -run '^TestSendRetryFromParity$|^TestSendRetryDoorbellBatchesPerLane$|^TestSendRetryFromRecoversFromDrops$|^TestMemcpyBatchValidatesBeforePosting$' ./internal/rdma/
+
+# Transfer engine gates: every payload protocol runs through one engine
+# (internal/rdma/engine.go: chunk plan -> per-lane doorbell -> join ->
+# commit word). Striped static and Dyn parity, the flag never before the
+# payload under chaos, the pipelined copy path, the lossy round trip and
+# its mid-loss abort, a failed transfer draining every posted chunk before
+# it reports (static send and weight publication), one deadline per
+# blocking call (Dyn fetch and lossy send), the one lane-count rule, and
+# weight publication under drops and across a partition.
+echo "== transfer engine gates (-race) =="
+go test -race -run '^TestStripedStaticParity$|^TestStripedDynParity$|^TestStripedFlagNeverBeforePayload$|^TestStripedPartitionFailsTyped$' ./internal/rdma/
+go test -race -run '^TestSendRetryFromParity$|^TestSendRetryFromRecoversFromDrops$|^TestStripedSendDrainsBeforeFailing$' ./internal/rdma/
+go test -race -run '^TestLossyRoundTripNoLoss$|^TestLossySelectiveRetransmit$|^TestLossyCancelMidLoss$|^TestLossyStaleChunkDiscarded$' ./internal/rdma/
+go test -race -run '^TestFetchRetryOneDeadline$|^TestLossySendOneDeadline$|^TestLaneCountRule$|^TestWriteRetryMoreLanesThanChunks$' ./internal/rdma/
+go test -race -run '^TestLossyStepAbortThenRecover$|^TestStripeLaneCountRule$' ./internal/distributed/
+go test -race -run '^TestPublishDrainsBeforeReturn$' ./internal/serve/
+go test -race -run '^TestServingFleetPublishUnderDrops$|^TestServingFleetPublishPartitionFailsTyped$' ./internal/distributed/
 
 # QP-scale & lossy-fabric gates: the 256-task netsim budget check (muxed
 # wiring within explicit per-task QP state and setup-time budgets that
